@@ -530,6 +530,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _float_list(flag: str, text):
+    """The comma-separated numbers of ``flag``, or None when it is absent."""
+    if not text:
+        return None
+    try:
+        return tuple(float(a) for a in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -537,9 +547,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        overrides = {"seed": args.seed, "workers": args.workers}
-        if args.alpha:
-            overrides["alphas"] = tuple(float(a) for a in args.alpha.split(","))
+        alphas = _float_list("--alpha", args.alpha)
+        amplitudes = _float_list("--amplitudes", getattr(args, "amplitudes", None))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        overrides = {"seed": args.seed, "workers": args.workers, "alphas": alphas}
         cfg = load_config(args.preset, args.config, overrides)
         paths = _Paths(args.out)
         paths.out.mkdir(parents=True, exist_ok=True)
@@ -556,10 +570,7 @@ def main(argv=None) -> int:
         if args.command == "experiment-fdr":
             return cmd_experiment_fdr(cfg, paths)
         if args.command == "experiment-power":
-            amps = None
-            if args.amplitudes:
-                amps = [float(a) for a in args.amplitudes.split(",")]
-            return cmd_experiment_power(cfg, paths, amps)
+            return cmd_experiment_power(cfg, paths, amplitudes)
         if args.command == "report":
             return cmd_report(cfg, paths)
         raise DataError(f"unknown command {args.command!r}")

@@ -253,20 +253,32 @@ def truncation_region(line: AffineLine, cond, weights: ModelWeights,
     return TruncationSet(tuple(matched))
 
 
-def _right_tail_mass(lo: float, hi: float) -> float:
-    """P(lo <= Z <= hi) for standard Z and 0 <= lo < hi, via stable log tails."""
+def _log_right_tail_mass(lo: float, hi: float) -> float:
+    """log P(lo <= Z <= hi) for standard Z and 0 <= lo < hi, via log tails.
+
+    Stays finite far in the tail, where the mass itself underflows.
+    """
     log_upper = log_ndtr(-lo)   # log P(Z >= lo)
     log_lower = log_ndtr(-hi)   # log P(Z >= hi)
-    return float(math.exp(log_upper) * -math.expm1(log_lower - log_upper))
+    kept = -math.expm1(log_lower - log_upper)
+    return float(log_upper + math.log(kept)) if kept > 0.0 else -math.inf
 
 
-def _interval_mass(lo: float, hi: float) -> float:
-    """Standard normal mass of [lo, hi], split at zero to avoid cancellation."""
+def _log_sum_exp(logs) -> float:
+    """log(sum(exp(v) for v in logs)), with exact summation of the scaled terms."""
+    top = max(logs, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+def _log_interval_mass(lo: float, hi: float) -> float:
+    """Log standard normal mass of [lo, hi], split at zero to avoid cancellation."""
     if lo >= 0.0:
-        return _right_tail_mass(lo, hi)
+        return _log_right_tail_mass(lo, hi)
     if hi <= 0.0:
-        return _right_tail_mass(-hi, -lo)
-    return _right_tail_mass(0.0, hi) + _right_tail_mass(0.0, -lo)
+        return _log_right_tail_mass(-hi, -lo)
+    return _log_sum_exp([_log_right_tail_mass(0.0, hi), _log_right_tail_mass(0.0, -lo)])
 
 
 def truncated_normal_pvalue(z_obs: float, sigma_t: float,
@@ -275,8 +287,10 @@ def truncated_normal_pvalue(z_obs: float, sigma_t: float,
 
     Computes P(|Z| >= |z_obs| and Z in S) / P(Z in S) for Z centered with
     standard deviation ``sigma_t`` and S the truncation set.  Interval
-    masses come from differences of stable log tails and are accumulated
-    with exact summation; the result is clamped to [0, 1].
+    masses come from differences of stable log tails, and the ratio is taken
+    in log space (a log-sum-exp over the interval log-masses), so a set far
+    in the tail, whose masses underflow, still gives a p-value.  The result
+    is clamped to [0, 1].
     """
     if not sigma_t > 0:
         raise DataError(f"sigma must be positive, got {sigma_t}")
@@ -284,19 +298,19 @@ def truncated_normal_pvalue(z_obs: float, sigma_t: float,
     den_parts, num_parts = [], []
     for lo, hi in trunc.intervals:
         lo_u, hi_u = lo / sigma_t, hi / sigma_t
-        den_parts.append(_interval_mass(lo_u, hi_u))
+        den_parts.append(_log_interval_mass(lo_u, hi_u))
         # intersection with {|u| >= cut}: a left and a right segment
         right_lo = max(lo_u, cut)
         if right_lo < hi_u:
-            num_parts.append(_interval_mass(right_lo, hi_u))
+            num_parts.append(_log_interval_mass(right_lo, hi_u))
         left_hi = min(hi_u, -cut)
         if lo_u < left_hi:
-            num_parts.append(_interval_mass(lo_u, left_hi))
-    denominator = math.fsum(sorted(den_parts))
-    if denominator < 1e-300:
+            num_parts.append(_log_interval_mass(lo_u, left_hi))
+    log_denominator = _log_sum_exp(den_parts)
+    if log_denominator == -math.inf:
         raise NumericalDiagnosticError("truncation set carries no probability mass")
-    numerator = math.fsum(sorted(num_parts))
-    return float(min(1.0, max(0.0, numerator / denominator)))
+    ratio = math.exp(_log_sum_exp(num_parts) - log_denominator)
+    return float(min(1.0, max(0.0, ratio)))
 
 
 def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,

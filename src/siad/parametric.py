@@ -2,12 +2,26 @@
 
 For a fixed set of weights the reconstruction map is piecewise linear in the
 image, so along any 1-D affine family ``x(z) = a + b*z`` it is piecewise
-linear in ``z``.  This module walks the window left to right: at each step
+linear in ``z``.  This module walks the window left to right.  At each step
 it fixes the relu sign pattern and every maxpool argmax at a probe point
-just inside the current piece, propagates exact affine coefficients
-``value(z) = off + slope*z`` through the network, and collects the earliest
+just inside the current piece, carries exact affine coefficients
+``value(z) = off + slope*z`` through the network, and takes the earliest
 ``z`` at which any relu flips sign or any pooling window changes winner.
 That crossing ends the piece and starts the next one.
+
+The forward pass is an ordered list of stages (each conv, relu and maxpool
+of the encoder, the latent head, the dense relu, each decoder
+upsample+concat+conv and each decoder relu), and the plan for a line keeps
+every stage's output and crossing from the previous probe.  A stage's
+output depends only on its inputs and on the pattern it fixes at the probe,
+and that pattern is the same at every ``z`` between the previous probe and
+the stage's crossing.  So a probe to the right of the previous one restarts
+at the first stage whose crossing it has reached and reuses every stage
+before it: the reused arrays are the ones a recomputation would give (the
+tests compare them bit for bit), and the pieces do not change.
+A probe to the left of the previous one recomputes every stage that
+depends on ``z``.  A breakpoint flips the pattern of one layer, so a piece
+costs only the stages downstream of that layer.
 
 Crossings closer than ``progress_tol`` to the probe are skipped so the scan
 always advances; the induced value error is bounded by the layer slopes
@@ -24,6 +38,7 @@ line, followed by shifted adds of the product planes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -167,8 +182,59 @@ class _ConvPlan:
         return out
 
 
+class _HeadPlan:
+    """Latent mean, then the dense decoder input, on stacked flats.
+
+    The dense layers act as (in, out) matrices built once; flats use the
+    channels-first order the dense weights expect.
+    """
+
+    def __init__(self, weights: ModelWeights, cond):
+        self.arch = weights.arch
+        self.cond = cond
+        self.mu_mat = np.ascontiguousarray(weights["mu_w"].T)
+        self.mu_b = weights["mu_b"]
+        self.dense_mat = np.ascontiguousarray(weights["dec_dense_w"].T)
+        self.dense_b = weights["dec_dense_b"]
+
+    def apply(self, pair):
+        arch = self.arch
+        flat = pair.transpose(0, 3, 1, 2).reshape(2, -1)
+        mu_pair = flat @ self.mu_mat
+        mu_pair[0] += self.mu_b
+        zc_pair = np.zeros((2, arch.latent_dim + arch.cond_count))
+        zc_pair[:, :arch.latent_dim] = mu_pair
+        zc_pair[0, arch.latent_dim:] = self.cond
+        g_pair = zc_pair @ self.dense_mat
+        g_pair[0] += self.dense_b
+        deep = arch.deep_side
+        return g_pair.reshape(2, arch.channels[-1], deep, deep).transpose(0, 2, 3, 1)
+
+
+def _up_conv(conv, outputs, skip_stage, pair):
+    """Upsample, concatenate the encoder skip ``outputs[skip_stage]``, convolve."""
+    up = np.repeat(np.repeat(pair, 2, axis=1), 2, axis=2)
+    return conv.apply(np.concatenate([up, outputs[skip_stage]], axis=3))
+
+
+def _pattern_free(fn):
+    """A stage that fixes no pattern, so no ``z`` ends it."""
+    return lambda pair, z_probe: (fn(pair), np.inf)
+
+
 class _LinePlan:
-    """Everything z-independent about one (line, cond, weights) triple."""
+    """The affine forward along one (line, cond, weights) triple, by stages.
+
+    Stage ``k`` maps the output of stage ``k - 1`` (and, for a decoder conv,
+    the matching encoder relu output) and ``z_probe`` to ``(pair,
+    crossing)``; pattern-free stages report an infinite crossing.  Stage 0,
+    the first encoder conv, does not depend on ``z`` and runs once here.
+    ``stages_run`` counts the stages ``evaluate`` has computed.
+
+    No stage refers back to the plan: such a reference cycle would keep
+    every stage output alive until the cyclic garbage collector ran, tens
+    of MB per plan at paper scale.
+    """
 
     def __init__(self, line: AffineLine, cond, weights: ModelWeights):
         arch = weights.arch
@@ -181,27 +247,33 @@ class _LinePlan:
         base[1, :, :, 0] = line.b.reshape(arch.side, arch.side)
         if arch.cond_count:
             base[0, :, :, 1:] = cond
-        self.base = base
-        self.arch = arch
-        self.cond = cond
 
-        self.enc_convs = []
+        first = _ConvPlan(weights["enc0_w"], weights["enc0_b"], arch.side, arch.side)
+        self.stages = [None]  # stage 0 runs once, below
+        self.outputs = [first.apply(base)]
+        skip_stage = []
         side = arch.side
         for i in range(arch.n_blocks):
-            self.enc_convs.append(
-                _ConvPlan(weights[f"enc{i}_w"], weights[f"enc{i}_b"], side, side))
+            if i:
+                conv = _ConvPlan(weights[f"enc{i}_w"], weights[f"enc{i}_b"], side, side)
+                self.stages.append(_pattern_free(conv.apply))
+            self.stages.append(_relu_pair)
+            skip_stage.append(len(self.stages) - 1)
+            self.stages.append(_maxpool2_pair)
             side //= 2
-        self.dec_convs = {}
+        self.stages += [_pattern_free(_HeadPlan(weights, cond).apply), _relu_pair]
         for i in range(arch.n_blocks - 1, -1, -1):
             side *= 2
-            self.dec_convs[i] = _ConvPlan(weights[f"dec{i}_w"], weights[f"dec{i}_b"],
-                                          side, side)
-        # latent heads as (in, out) matrices acting on stacked flats;
-        # flats use the channels-first order the dense weights expect
-        self.mu_mat = np.ascontiguousarray(weights["mu_w"].T)
-        self.mu_b = weights["mu_b"]
-        self.dense_mat = np.ascontiguousarray(weights["dec_dense_w"].T)
-        self.dense_b = weights["dec_dense_b"]
+            conv = _ConvPlan(weights[f"dec{i}_w"], weights[f"dec{i}_b"], side, side)
+            self.stages.append(
+                _pattern_free(partial(_up_conv, conv, self.outputs, skip_stage[i])))
+            if i > 0:
+                self.stages.append(_relu_pair)
+
+        self.outputs += [None] * (len(self.stages) - 1)
+        self.crossings = [np.inf] * len(self.stages)
+        self.probe = np.inf  # no stage after the first has run yet
+        self.stages_run = 0
 
     def evaluate(self, z_probe):
         """Affine forward with the pattern frozen at ``z_probe``.
@@ -209,50 +281,19 @@ class _LinePlan:
         Returns flattened reconstruction coefficients and the earliest
         pattern crossing beyond the probe (inf if the pattern never breaks).
         """
-        arch = self.arch
-        next_crossing = np.inf
-        pair = self.base
-        skips = []
-        for i in range(arch.n_blocks):
-            pair = self.enc_convs[i].apply(pair)
-            pair, cr = _relu_pair(pair, z_probe)
-            if cr < next_crossing:
-                next_crossing = cr
-            skips.append(pair)
-            pair, cr = _maxpool2_pair(pair, z_probe)
-            if cr < next_crossing:
-                next_crossing = cr
-
-        deep = arch.deep_side
-        flat = pair.transpose(0, 3, 1, 2).reshape(2, -1)
-        mu_pair = flat @ self.mu_mat
-        mu_pair[0] += self.mu_b
-        zc_pair = np.zeros((2, arch.latent_dim + arch.cond_count))
-        zc_pair[:, :arch.latent_dim] = mu_pair
-        zc_pair[0, arch.latent_dim:] = self.cond
-        g_pair = zc_pair @ self.dense_mat
-        g_pair[0] += self.dense_b
-        pair = g_pair.reshape(2, arch.channels[-1], deep, deep).transpose(0, 2, 3, 1)
-        pair, cr = _relu_pair(pair, z_probe)
-        if cr < next_crossing:
-            next_crossing = cr
-
-        for i in range(arch.n_blocks - 1, -1, -1):
-            up = np.repeat(np.repeat(pair, 2, axis=1), 2, axis=2)
-            pair = np.concatenate([up, skips[i]], axis=3)
-            pair = self.dec_convs[i].apply(pair)
-            if i > 0:
-                pair, cr = _relu_pair(pair, z_probe)
-                if cr < next_crossing:
-                    next_crossing = cr
+        outputs, crossings = self.outputs, self.crossings
+        start = 1
+        if z_probe >= self.probe:
+            start = next((k for k, c in enumerate(crossings) if c <= z_probe),
+                         len(crossings))
+        for k in range(start, len(self.stages)):
+            outputs[k], crossings[k] = self.stages[k](outputs[k - 1], z_probe)
+        self.stages_run += len(self.stages) - start
+        self.probe = z_probe
+        pair = outputs[-1]
         return (np.ascontiguousarray(pair[0, :, :, 0]).reshape(-1),
                 np.ascontiguousarray(pair[1, :, :, 0]).reshape(-1),
-                next_crossing)
-
-
-def _affine_reconstruct(line: AffineLine, cond, weights: ModelWeights, z_probe):
-    """Single-shot parametric forward pass (testing surface)."""
-    return _LinePlan(line, cond, weights).evaluate(z_probe)
+                min(crossings))
 
 
 def scan_linear_pieces(eval_fn, window, max_pieces=DEFAULT_PIECE_CAP,

@@ -57,6 +57,15 @@ class TestUsageAndErrors:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("experiment-null", "--alpha", "0.1,x"),
+        ("experiment-power", "--amplitudes", "3,,4"),
+    ])
+    def test_bad_number_list_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        assert main([command, flag, value, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()

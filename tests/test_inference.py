@@ -281,10 +281,31 @@ class TestTruncatedNormalPvalue:
             (stats.norm.sf(10.5) - stats.norm.sf(12.0))
             / (stats.norm.sf(10.0) - stats.norm.sf(12.0)), rel=1e-6)
 
+    @pytest.mark.parametrize("z_obs", [39.0, 60.0])
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_far_tail_pvalue_matches_asymptotic_tails(self, z_obs, two_sided):
+        """Masses near exp(-z^2/2) underflow to zero; their ratio must not.
+
+        On [z-1, z+1] the p-value is Q(z) / Q(z-1) up to a relative
+        Q(z+1) / Q(z) < 1e-17, with Q the upper normal tail, here from its
+        asymptotic series (truncation error below 1e-12 for z >= 38).  The
+        mirrored interval doubles both masses and leaves the ratio.
+        """
+        def log_q(x):
+            series = 1.0 - 1.0 / x ** 2 + 3.0 / x ** 4 - 15.0 / x ** 6 + 105.0 / x ** 8
+            return -0.5 * x * x - math.log(x * math.sqrt(2.0 * math.pi)) + math.log(series)
+
+        intervals = ((z_obs - 1.0, z_obs + 1.0),)
+        if two_sided:
+            intervals = ((-z_obs - 1.0, -z_obs + 1.0),) + intervals
+        p = truncated_normal_pvalue(z_obs, 1.0, TruncationSet(intervals))
+        assert p == pytest.approx(math.exp(log_q(z_obs) - log_q(z_obs - 1.0)), rel=1e-9)
+
     def test_empty_mass_raises(self):
-        trunc = TruncationSet(((40.0, 41.0),))
+        # narrower than the resolution of the normal tail at zero
+        trunc = TruncationSet(((0.0, 1e-300),))
         with pytest.raises(NumericalDiagnosticError):
-            truncated_normal_pvalue(40.5, 1.0, trunc)
+            truncated_normal_pvalue(0.0, 1.0, trunc)
 
 
 class TestSelectivePvalue:

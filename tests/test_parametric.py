@@ -1,12 +1,18 @@
 """Exactness and tiling of the piecewise-linear decomposition."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from siad.anomaly import AnomalyMask, RoiMask
 from siad.errors import NumericalDiagnosticError
+from siad.inference import NoiseModel, contrast_vector, line_decomposition
 from siad.model import ArchitectureSpec, init_weights, reconstruct, zero_weights
-from siad.parametric import (AffineLine, _maxpool2_affine, _relu_affine,
+from siad.parametric import (AffineLine, _LinePlan, _maxpool2_affine, _relu_affine,
                              parametric_infer, scan_linear_pieces)
+from siad.synth import gen_null_cohort
 
 
 class TestReluAffine:
@@ -133,3 +139,77 @@ class TestParametricInfer:
         target = [p for p in pieces if p.lo <= 1.0 <= p.hi][0]
         direct = reconstruct(x.reshape(1, 8, 8), cond, w).reshape(-1)
         np.testing.assert_allclose(target.at(1.0), direct, atol=1e-9)
+
+
+def _assert_same_as_fresh(plan, line, cond, w, z):
+    """The plan's answer at z is bit-equal to a plan that has never probed."""
+    got = plan.evaluate(z)
+    want = _LinePlan(line, cond, w).evaluate(z)
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e), f"stage cache differs from a fresh plan at z={z!r}"
+    return got
+
+
+class TestStageCache:
+    """Resuming at the first stage whose crossing was reached is exact."""
+
+    @pytest.mark.parametrize("arch,seed", [
+        (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 0),
+        (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 1),
+        (ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2), 2),
+    ])
+    def test_every_probe_of_a_scan_matches_a_fresh_plan(self, arch, seed):
+        w = init_weights(arch, seed)
+        rng = np.random.default_rng(seed)
+        cond = rng.normal(size=2)
+        n = arch.n_pixels
+        line = AffineLine(rng.normal(size=n), rng.normal(size=n), (-3.0, 3.0))
+        plan = _LinePlan(line, cond, w)
+        pieces = scan_linear_pieces(
+            lambda z: _assert_same_as_fresh(plan, line, cond, w, z), line.window)
+        assert len(pieces) > 20
+
+    def test_probes_at_a_crossing_or_to_the_left_match_a_fresh_plan(self):
+        arch = ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2)
+        w = init_weights(arch, 3)
+        rng = np.random.default_rng(3)
+        cond = rng.normal(size=2)
+        line = AffineLine(rng.normal(size=64), rng.normal(size=64), (-3.0, 3.0))
+        plan = _LinePlan(line, cond, w)
+        z = -2.9
+        for _ in range(10):  # each probe exactly at the previous crossing
+            _, _, z = _assert_same_as_fresh(plan, line, cond, w, z)
+        for z in (2.5, 0.3, 1.1, -2.9, -2.9, 2.9):
+            _assert_same_as_fresh(plan, line, cond, w, z)
+
+    def test_desk_null_scan_reuses_stages(self):
+        """A desk-size line through a null map: most pieces resume mid-network."""
+        arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
+        w = init_weights(arch, 7)
+        x = gen_null_cohort(1, 16, 1.0, seed=7)[0]
+        roi = RoiMask.centered_square(16)
+        eta = contrast_vector(AnomalyMask(roi.indices[:4]), roi)
+        line, _ = line_decomposition(x, eta, NoiseModel(1.0))
+        plan = _LinePlan(line, np.zeros(2), w)
+        pieces = scan_linear_pieces(plan.evaluate, line.window)
+        z_dependent = len(plan.stages) - 1
+        assert len(pieces) > 100
+        assert plan.stages_run < len(pieces) * z_dependent
+
+    def test_plan_is_freed_without_the_cycle_collector(self):
+        """A plan holds every stage output; a reference cycle through its
+        stages would keep them alive until the cyclic collector ran."""
+        arch = ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2)
+        rng = np.random.default_rng(4)
+        line = AffineLine(rng.normal(size=64), rng.normal(size=64), (-3.0, 3.0))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            plan = _LinePlan(line, np.zeros(2), init_weights(arch, 4))
+            plan.evaluate(0.0)
+            ref = weakref.ref(plan)
+            del plan
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
