@@ -112,7 +112,11 @@ def _parse_value(name: str, text: str, target_type):
         if target_type is tuple:
             parts = [p for p in text.replace(",", " ").split() if p]
             if name == "alphas":
-                return tuple(float(p) for p in parts)
+                levels = tuple(float(p) for p in parts)
+                if _bad_level(levels) is not None:
+                    raise DataError(f"config value alphas = {text!r}: levels must "
+                                    f"lie in (0, 1)")
+                return levels
             return tuple(int(p) for p in parts)
         if target_type is int:
             return int(text)
@@ -530,6 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_level(levels):
+    """The first level not inside (0, 1) (nan included), or None."""
+    return next((a for a in levels if not 0.0 < a < 1.0), None)
+
+
 def _float_list(flag: str, text):
     """The comma-separated numbers of ``flag``, or None when it is absent."""
     if not text:
@@ -549,6 +558,9 @@ def main(argv=None) -> int:
     try:
         alphas = _float_list("--alpha", args.alpha)
         amplitudes = _float_list("--amplitudes", getattr(args, "amplitudes", None))
+        bad = _bad_level(alphas or ())
+        if bad is not None:
+            raise ValueError(f"--alpha levels must lie in (0, 1), got {bad!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,6 +7,10 @@ as skip connections.  The two scalar conditions ride along as constant input
 channels on the encoder side and as extra latent coordinates on the decoder
 side, so the reconstruction map stays piecewise linear in the image.
 
+`ArchitectureSpec.layers` defines the network once, as an ordered list of
+the layers in `ops`; the weight names and shapes, the reconstruction, the
+training gradients and the affine line scan all come from that list.
+
 Inference (`reconstruct`) is deterministic: it decodes the latent mean and
 never samples.  Sampling happens only inside the training loss.
 """
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .ops import conv2d, maxpool2, relu, upsample_nearest
+from .ops import Conv, LatentHead, MaxPool2, Relu, UpConv
+from .ops import conv2d  # noqa: F401  (perfbench/layers.py traces this name)
 
 
 @dataclass(frozen=True)
@@ -67,29 +72,34 @@ class ArchitectureSpec:
         """Length of the flattened deepest feature map."""
         return self.channels[-1] * self.deep_side * self.deep_side
 
-    def layer_shapes(self):
-        """Weight shapes in serialization order (name, shape) pairs."""
-        shapes = []
-        c_prev = 1 + self.cond_count
+    def layers(self):
+        """The network as an ordered list of unbound layers.
+
+        Per encoder block: conv, relu (its output is the block's skip),
+        2x2 maxpool.  Then the latent head and a relu.  Per decoder block,
+        deepest first: upsample + skip-concat + conv, then a relu except
+        after the last block, whose output stays signed.
+        """
         k = self.kernel_size
+        layers, skips = [], []
+        c_prev = 1 + self.cond_count
         for i, c in enumerate(self.channels):
-            shapes.append((f"enc{i}_w", (c, c_prev, k, k)))
-            shapes.append((f"enc{i}_b", (c,)))
+            skips.append(Relu())
+            layers += [Conv(f"enc{i}", c_prev, c, k), skips[-1], MaxPool2()]
             c_prev = c
-        shapes.append(("mu_w", (self.latent_dim, self.flat_dim)))
-        shapes.append(("mu_b", (self.latent_dim,)))
-        shapes.append(("logvar_w", (self.latent_dim, self.flat_dim)))
-        shapes.append(("logvar_b", (self.latent_dim,)))
-        shapes.append(("dec_dense_w", (self.flat_dim, self.latent_dim + self.cond_count)))
-        shapes.append(("dec_dense_b", (self.flat_dim,)))
-        # decoder conv blocks run deepest -> shallowest; each sees the
-        # upsampled feature map concatenated with the matching skip
+        layers += [LatentHead(self.channels[-1], self.deep_side, self.latent_dim,
+                              self.cond_count), Relu()]
         for i in range(self.n_blocks - 1, -1, -1):
-            c_in = 2 * self.channels[i]
             c_out = self.channels[i - 1] if i > 0 else 1
-            shapes.append((f"dec{i}_w", (c_out, c_in, k, k)))
-            shapes.append((f"dec{i}_b", (c_out,)))
-        return shapes
+            layers.append(UpConv(f"dec{i}", 2 * self.channels[i], c_out, k, skips[i]))
+            if i > 0:
+                layers.append(Relu())
+        return layers
+
+    def layer_shapes(self):
+        """Weight shapes in serialization order (name, shape) pairs: the
+        order of the layers."""
+        return [shape for layer in self.layers() for shape in layer.shapes]
 
 
 @dataclass
@@ -162,84 +172,82 @@ def zero_weights(arch: ArchitectureSpec) -> ModelWeights:
                                for name, shape in arch.layer_shapes()})
 
 
-def _check_image(x: np.ndarray, arch: ArchitectureSpec) -> np.ndarray:
+def _rows(values, n: int, width: int, what: str) -> np.ndarray:
+    """``values`` as an (n, width) array; one row may be given as a vector."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim > 2 or values.size != n * width:
+        raise ShapeError(f"expected {n} row(s) of {width} {what}, got shape {values.shape}")
+    return values.reshape(n, width)
+
+
+def _images(x, arch: ArchitectureSpec) -> np.ndarray:
+    """One image (side x side, optionally with a leading 1) or a batch
+    (B, side, side), as a (B, side, side) array."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape == (arch.side, arch.side):
-        x = x[None, :, :]
-    if x.shape != (1, arch.side, arch.side):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (arch.side, arch.side):
         raise ShapeError(f"image shape {x.shape} does not match side {arch.side}")
-    return x
+    return x.reshape(-1, arch.side, arch.side)
 
 
-def _check_cond(cond, arch: ArchitectureSpec) -> np.ndarray:
-    cond = np.asarray(cond, dtype=np.float64).reshape(-1)
-    if cond.shape != (arch.cond_count,):
-        raise ShapeError(f"expected {arch.cond_count} conditions, got {cond.shape}")
-    return cond
+def network(weights: ModelWeights, cond: np.ndarray, eps=None) -> list:
+    """The layers of ``weights.arch`` bound to ``weights``, ready to run.
+
+    ``cond`` holds one row of conditions per batch row; for an affine
+    offset/slope pair it holds one row, which only the offset row receives.
+    ``eps`` holds one latent draw per batch row for the training loss;
+    without it the head decodes the latent mean.
+    """
+    layers = weights.arch.layers()
+    for layer in layers:
+        layer.bind(weights.params, cond, eps)
+    return layers
 
 
-def _with_cond_channels(x: np.ndarray, cond: np.ndarray, arch: ArchitectureSpec) -> np.ndarray:
-    if arch.cond_count == 0:
-        return x
-    planes = np.broadcast_to(cond[:, None, None], (arch.cond_count, arch.side, arch.side))
-    return np.concatenate([x, planes], axis=0)
+def network_input(x: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """The first layer's input: the (B, side, side) images as channel 0,
+    then one constant channel per condition, filled in the first
+    ``len(cond)`` rows."""
+    h = np.zeros(x.shape + (1 + cond.shape[1],))
+    h[..., 0] = x
+    h[:len(cond), :, :, 1:] = cond[:, None, None, :]
+    return h
 
 
-def encode(x: np.ndarray, cond, weights: ModelWeights):
-    """Encoder forward pass.
+def forward(x, cond, weights: ModelWeights, eps=None):
+    """Batched forward pass through the layer list.
 
-    Returns ``(LatentStats, skips)`` where ``skips[i]`` is block i's post-relu,
-    pre-pool activation, consumed later by the decoder.  The mean path uses
-    only conv/relu/maxpool and is therefore piecewise linear in ``x``.
+    ``x`` is one image or a batch (see `_images`) and ``cond`` one row of
+    conditions per image; ``eps``, if given, one latent draw per image.
+    Returns ``(recon, stats, layers)``: the (B, side, side) reconstruction,
+    the latent statistics with one row per image, and the layers, which
+    keep what their backward passes need.
     """
     arch = weights.arch
-    x = _check_image(x, arch)
-    cond = _check_cond(cond, arch)
-    h = _with_cond_channels(x, cond, arch)
-    skips = []
-    for i in range(arch.n_blocks):
-        a = relu(conv2d(h, weights[f"enc{i}_w"], weights[f"enc{i}_b"]))
-        skips.append(a)
-        h, _ = maxpool2(a)
-    flat = h.reshape(-1)
-    mu = weights["mu_w"] @ flat + weights["mu_b"]
-    logvar = weights["logvar_w"] @ flat + weights["logvar_b"]
-    return LatentStats(mu, logvar), skips
-
-
-def decode(latent: np.ndarray, cond, skips, weights: ModelWeights) -> np.ndarray:
-    """Decoder forward pass from a latent vector and the encoder skips."""
-    arch = weights.arch
-    latent = np.asarray(latent, dtype=np.float64).reshape(-1)
-    if latent.shape != (arch.latent_dim,):
-        raise ShapeError(f"latent length {latent.shape} != {arch.latent_dim}")
-    cond = _check_cond(cond, arch)
-    if len(skips) != arch.n_blocks:
-        raise ShapeError(f"expected {arch.n_blocks} skip activations, got {len(skips)}")
-
-    zc = np.concatenate([latent, cond])
-    g = weights["dec_dense_w"] @ zc + weights["dec_dense_b"]
-    d = relu(g.reshape(arch.channels[-1], arch.deep_side, arch.deep_side))
-    for i in range(arch.n_blocks - 1, -1, -1):
-        up = upsample_nearest(d)
-        cat = np.concatenate([up, skips[i]], axis=0)
-        p = conv2d(cat, weights[f"dec{i}_w"], weights[f"dec{i}_b"])
-        d = relu(p) if i > 0 else p  # final block stays linear: signed output
-    return d
+    x = _images(x, arch)
+    cond = _rows(cond, len(x), arch.cond_count, "conditions")
+    if eps is not None:
+        eps = _rows(eps, len(x), arch.latent_dim, "latent draws")
+    layers = network(weights, cond, eps)
+    h = network_input(x, cond)
+    for layer in layers:
+        h = layer.forward(h)
+    head = next(layer for layer in layers if isinstance(layer, LatentHead))
+    return h[..., 0], LatentStats(head.mu, head.logvar), layers
 
 
 def reconstruct(x: np.ndarray, cond, weights: ModelWeights) -> np.ndarray:
     """Deterministic reconstruction: encode, take the latent mean, decode.
 
     No latent sampling at inference time, so the composed map is a
-    deterministic piecewise-linear function of ``x``.
+    deterministic piecewise-linear function of ``x``.  One image gives a
+    (1, side, side) array, a batch of B images (B, side, side).
     """
-    stats, skips = encode(x, cond, weights)
-    return decode(stats.mu, cond, skips, weights)
+    return forward(x, cond, weights)[0]
 
 
 def kl_divergence(stats: LatentStats) -> float:
-    """Closed-form KL(q(z|x) || N(0, I)) for a diagonal Gaussian posterior."""
+    """Closed-form KL(q(z|x) || N(0, I)) for a diagonal Gaussian posterior,
+    summed over the rows of a batch."""
     mu, logvar = stats.mu, stats.logvar
     return float(-0.5 * np.sum(1.0 + logvar - mu ** 2 - np.exp(logvar)))
 
@@ -248,8 +256,9 @@ def elbo_loss(x: np.ndarray, recon: np.ndarray, stats: LatentStats) -> float:
     """Training objective: KL term plus half the squared reconstruction error.
 
     This is the negated variational bound under a unit-variance Gaussian
-    likelihood; both terms are individually exposed for testing
-    (`kl_divergence` and the residual term here).
+    likelihood, summed over the examples of a batch; both terms are
+    individually exposed for testing (`kl_divergence` and the residual term
+    here).
     """
     x = np.asarray(x, dtype=np.float64)
     recon = np.asarray(recon, dtype=np.float64)

@@ -1,8 +1,11 @@
 """Hand-rolled training for the detector network.
 
-Gradients are computed analytically layer by layer (checked against central
-finite differences in the test suite), the optimizer is Adam with bias
-correction, and the loop does early stopping on a held-out split.  Every
+Gradients are computed analytically by walking the model's layer list
+backwards (checked against central finite differences in the test suite),
+the optimizer is Adam with bias correction, and the loop does early
+stopping on a held-out split.  Each minibatch, and each chunk of the
+held-out and training sets when their losses are evaluated, runs through
+the network as one batch.  Every
 source of randomness flows from one seeded counter-based generator, so the
 same seed reproduces the same final weights bit for bit.
 """
@@ -13,121 +16,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .model import (ArchitectureSpec, LatentStats, ModelWeights, _check_cond,
-                    _check_image, _with_cond_channels, elbo_loss, init_weights)
-from .ops import (conv2d, conv2d_backward, maxpool2, maxpool2_backward, relu,
-                  relu_backward, upsample_nearest, upsample_nearest_backward)
-
-
-def _forward_cached(x, cond, weights: ModelWeights, eps):
-    """Forward pass retaining every intermediate needed by the backward pass.
-
-    ``eps`` is the reparameterization draw; pass zeros for the deterministic
-    mean path used in held-out evaluation.
-    """
-    arch = weights.arch
-    x = _check_image(x, arch)
-    cond = _check_cond(cond, arch)
-    eps = np.asarray(eps, dtype=np.float64).reshape(arch.latent_dim)
-
-    cache = {"x": x, "cond": cond, "eps": eps}
-    h = _with_cond_channels(x, cond, arch)
-    cache["enc_in"] = [h]
-    cache["enc_pre"] = []
-    cache["skips"] = []
-    cache["pool_idx"] = []
-    for i in range(arch.n_blocks):
-        pre = conv2d(h, weights[f"enc{i}_w"], weights[f"enc{i}_b"])
-        a = relu(pre)
-        h, idx = maxpool2(a)
-        cache["enc_pre"].append(pre)
-        cache["skips"].append(a)
-        cache["pool_idx"].append(idx)
-        cache["enc_in"].append(h)
-
-    flat = h.reshape(-1)
-    mu = weights["mu_w"] @ flat + weights["mu_b"]
-    logvar = weights["logvar_w"] @ flat + weights["logvar_b"]
-    z = mu + np.exp(0.5 * logvar) * eps
-    zc = np.concatenate([z, cond])
-    g = weights["dec_dense_w"] @ zc + weights["dec_dense_b"]
-    g_map = g.reshape(arch.channels[-1], arch.deep_side, arch.deep_side)
-    d = relu(g_map)
-
-    cache.update(flat=flat, mu=mu, logvar=logvar, z=z, zc=zc, g_map=g_map)
-    cache["dec_cat"] = {}
-    cache["dec_pre"] = {}
-    for i in range(arch.n_blocks - 1, -1, -1):
-        up = upsample_nearest(d)
-        cat = np.concatenate([up, cache["skips"][i]], axis=0)
-        p = conv2d(cat, weights[f"dec{i}_w"], weights[f"dec{i}_b"])
-        cache["dec_cat"][i] = cat
-        cache["dec_pre"][i] = p
-        d = relu(p) if i > 0 else p
-    cache["recon"] = d
-    return cache
+from .errors import DataError, ShapeError
+from .model import (ArchitectureSpec, ModelWeights, _images, _rows, elbo_loss, forward,
+                    init_weights)
+from .ops import conv2d, conv2d_backward  # noqa: F401  (perfbench/layers.py traces these names)
 
 
 def loss_and_gradients(x, cond, weights: ModelWeights, eps):
-    """ELBO loss and its exact gradients for one example.
+    """ELBO loss and its exact gradients for one example or a batch.
 
-    Returns ``(loss, grads)`` with ``grads`` keyed like the weight dict.
-    Maxpool gradients are routed to the recorded argmax winners; the latent
-    draw uses the reparameterization z = mu + exp(logvar/2) * eps.
+    ``x``, ``cond`` and ``eps`` hold one image, one row of conditions and
+    one latent draw, or B of each.  Returns ``(loss, grads)``, summed over
+    the batch, with ``grads`` keyed like the weight dict.  Each layer's
+    backward reuses the relu and maxpool patterns of the forward pass; the
+    latent draw uses the reparameterization z = mu + exp(logvar/2) * eps.
     """
-    arch = weights.arch
-    cache = _forward_cached(x, cond, weights, eps)
-    stats = LatentStats(cache["mu"], cache["logvar"])
-    loss = elbo_loss(cache["x"], cache["recon"], stats)
-
+    x = _images(x, weights.arch)
+    recon, stats, layers = forward(x, cond, weights, eps)
+    loss = elbo_loss(x, recon, stats)
+    grad = (recon - x)[..., None]
     grads = {}
-    n_blocks = arch.n_blocks
-    chans = arch.channels
-
-    # decoder half, from the reconstruction back to the latent
-    d_cur = cache["recon"] - cache["x"]
-    d_skip = [None] * n_blocks
-    for i in range(n_blocks):  # reverse order of the decoder loop
-        d_p = d_cur if i == 0 else relu_backward(d_cur, cache["dec_pre"][i])
-        d_cat, d_w, d_b = conv2d_backward(d_p, cache["dec_cat"][i], weights[f"dec{i}_w"])
-        grads[f"dec{i}_w"] = d_w
-        grads[f"dec{i}_b"] = d_b
-        d_skip[i] = d_cat[chans[i]:]
-        d_cur = upsample_nearest_backward(d_cat[:chans[i]])
-
-    d_g = relu_backward(d_cur, cache["g_map"]).reshape(-1)
-    grads["dec_dense_w"] = np.outer(d_g, cache["zc"])
-    grads["dec_dense_b"] = d_g
-    d_zc = weights["dec_dense_w"].T @ d_g
-    d_z = d_zc[:arch.latent_dim]
-
-    # latent heads: reconstruction path through z plus the closed-form KL
-    mu, logvar, eps_v = cache["mu"], cache["logvar"], cache["eps"]
-    d_mu = d_z + mu
-    d_logvar = d_z * eps_v * 0.5 * np.exp(0.5 * logvar) + 0.5 * (np.exp(logvar) - 1.0)
-    grads["mu_w"] = np.outer(d_mu, cache["flat"])
-    grads["mu_b"] = d_mu
-    grads["logvar_w"] = np.outer(d_logvar, cache["flat"])
-    grads["logvar_b"] = d_logvar
-
-    # encoder half
-    d_h = (weights["mu_w"].T @ d_mu + weights["logvar_w"].T @ d_logvar).reshape(
-        chans[-1], arch.deep_side, arch.deep_side)
-    for i in range(n_blocks - 1, -1, -1):
-        d_a = maxpool2_backward(d_h, cache["pool_idx"][i], cache["skips"][i].shape)
-        d_a = d_a + d_skip[i]
-        d_pre = relu_backward(d_a, cache["enc_pre"][i])
-        d_h, d_w, d_b = conv2d_backward(d_pre, cache["enc_in"][i], weights[f"enc{i}_w"])
-        grads[f"enc{i}_w"] = d_w
-        grads[f"enc{i}_b"] = d_b
+    for layer in reversed(layers):
+        grad = layer.backward(grad)
+        grads.update(layer.grads)
     return loss, grads
 
 
 def evaluate_loss(x, cond, weights: ModelWeights) -> float:
-    """Deterministic ELBO (latent mean path, no sampling)."""
-    cache = _forward_cached(x, cond, weights, np.zeros(weights.arch.latent_dim))
-    return elbo_loss(cache["x"], cache["recon"], LatentStats(cache["mu"], cache["logvar"]))
+    """Deterministic ELBO (latent mean path, no sampling), summed over a batch."""
+    x = _images(x, weights.arch)
+    recon, stats, _ = forward(x, cond, weights)
+    return elbo_loss(x, recon, stats)
 
 
 @dataclass
@@ -203,6 +122,10 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(config.seed), np.uint64(0x7e)]))
+    images = np.concatenate([_images(x, arch) for x, _ in dataset])
+    conds = np.concatenate([_rows(c, 1, arch.cond_count, "conditions") for _, c in dataset])
+    if len(images) != len(conds):
+        raise ShapeError("each training example must hold one image")
 
     n = len(dataset)
     order = rng.permutation(n)
@@ -214,45 +137,33 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
     if n_hold == 0:
         hold_idx = order
 
-    def holdout_loss(w):
-        return float(np.mean([evaluate_loss(dataset[i][0], dataset[i][1], w)
-                              for i in hold_idx]))
+    def mean_loss(w, idx):
+        step = config.batch_size
+        return sum(evaluate_loss(images[idx[j:j + step]], conds[idx[j:j + step]], w)
+                   for j in range(0, len(idx), step)) / len(idx)
 
     weights = init_weights(arch, config.seed)
     state = AdamState.zeros_like(weights)
-    best_loss = holdout_loss(weights)
+    best_loss = mean_loss(weights, hold_idx)
     best_weights = weights.copy()
     best_epoch = 0
-    train_loss0 = float(np.mean([evaluate_loss(dataset[i][0], dataset[i][1], weights)
-                                 for i in train_idx]))
-    history = [EpochRecord(0, train_loss0, best_loss, False)]
+    history = [EpochRecord(0, mean_loss(weights, train_idx), best_loss, False)]
 
     stale = 0
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(train_idx))
         epoch_losses = []
         for start in range(0, len(perm), config.batch_size):
-            batch = [train_idx[j] for j in perm[start:start + config.batch_size]]
-            total_grads = None
-            batch_loss = 0.0
-            for i in batch:
-                x, cond = dataset[i]
-                eps = rng.standard_normal(arch.latent_dim)
-                loss, grads = loss_and_gradients(x, cond, weights, eps)
-                batch_loss += loss
-                if total_grads is None:
-                    total_grads = grads
-                else:
-                    for k in total_grads:
-                        total_grads[k] += grads[k]
+            batch = train_idx[perm[start:start + config.batch_size]]
+            eps = rng.standard_normal((len(batch), arch.latent_dim))
+            loss, grads = loss_and_gradients(images[batch], conds[batch], weights, eps)
             scale = 1.0 / len(batch)
-            for k in total_grads:
-                total_grads[k] *= scale
-            weights, state = adam_step(weights, total_grads, state, config.lr,
-                                       config.beta1, config.beta2, config.adam_eps)
-            epoch_losses.append(batch_loss * scale)
+            weights, state = adam_step(weights, {k: g * scale for k, g in grads.items()},
+                                       state, config.lr, config.beta1, config.beta2,
+                                       config.adam_eps)
+            epoch_losses.append(loss * scale)
 
-        h_loss = holdout_loss(weights)
+        h_loss = mean_loss(weights, hold_idx)
         improved = h_loss < best_loss - config.min_delta
         if improved:
             best_loss = h_loss

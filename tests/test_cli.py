@@ -52,6 +52,12 @@ def pipeline_dir(tmp_path_factory):
     return out, base
 
 
+def _summary_text(out):
+    """The FDR summary a run left in ``out``, or None."""
+    path = out / "fdr_summary.csv"
+    return path.read_text() if path.exists() else None
+
+
 class TestUsageAndErrors:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -65,6 +71,28 @@ class TestUsageAndErrors:
         assert main([command, flag, value, "--out", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1.5,-2,nan", "0.05,nan", "0", "1"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, pipeline_dir, capsys, value):
+        out, base = pipeline_dir
+        before = _summary_text(out)
+        assert main(["experiment-fdr", *base, "--alpha", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "--alpha" in captured.err and "Traceback" not in captured.err
+        assert "reject" not in captured.out and _summary_text(out) == before
+
+    def test_config_alphas_outside_unit_interval_is_data_error(self, pipeline_dir, tmp_path,
+                                                                capsys):
+        out, base = pipeline_dir
+        config = tmp_path / "config.ini"
+        config.write_text(TINY_CONFIG + "alphas = 0.05, 1.5\n")
+        before = _summary_text(out)
+        assert main(["experiment-fdr", "--config", str(config), "--out", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "alphas" in captured.err and "Traceback" not in captured.err
+        assert "reject" not in captured.out and _summary_text(out) == before
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path)]) == EXIT_DATA

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from siad.errors import ShapeError
-from siad.model import (ArchitectureSpec, LatentStats, decode, elbo_loss,
-                        encode, init_weights, kl_divergence, reconstruct,
-                        zero_weights)
+from siad.model import (ArchitectureSpec, LatentStats, elbo_loss, forward,
+                        init_weights, kl_divergence, reconstruct, zero_weights)
+from siad.ops import Relu, UpConv
 
 ARCH = ArchitectureSpec(side=8, channels=(3, 5), latent_dim=3)
 COND = np.array([0.4, -1.2])
@@ -32,29 +32,38 @@ class TestArchitectureSpec:
         assert shapes["dec_dense_w"] == (20, 5)
         assert shapes["dec1_w"] == (3, 10, 3, 3)
         assert shapes["dec0_w"] == (1, 6, 3, 3)
+        assert [name for name, _ in ARCH.layer_shapes()] == [
+            "enc0_w", "enc0_b", "enc1_w", "enc1_b", "mu_w", "mu_b", "logvar_w",
+            "logvar_b", "dec_dense_w", "dec_dense_b", "dec1_w", "dec1_b",
+            "dec0_w", "dec0_b"]
 
 
 class TestEncode:
     def test_zero_weights_give_zero_stats(self):
-        stats, skips = encode(np.random.default_rng(0).normal(size=(1, 8, 8)),
-                              COND, zero_weights(ARCH))
-        np.testing.assert_array_equal(stats.mu, np.zeros(3))
-        np.testing.assert_array_equal(stats.logvar, np.zeros(3))
-        assert len(skips) == 2
+        _, stats, layers = forward(np.random.default_rng(0).normal(size=(1, 8, 8)),
+                                   COND, zero_weights(ARCH))
+        np.testing.assert_array_equal(stats.mu, np.zeros((1, 3)))
+        np.testing.assert_array_equal(stats.logvar, np.zeros((1, 3)))
+        # each decoder block reads the relu right after its encoder conv
+        decoders = [layer for layer in layers if isinstance(layer, UpConv)]
+        assert [layers.index(d.skip) for d in decoders] == [4, 1]
+        assert all(isinstance(d.skip, Relu) for d in decoders)
 
     def test_deterministic(self):
         w = init_weights(ARCH, 5)
         x = np.random.default_rng(1).normal(size=(1, 8, 8))
-        a, _ = encode(x, COND, w)
-        b, _ = encode(x, COND, w)
+        _, a, _ = forward(x, COND, w)
+        _, b, _ = forward(x, COND, w)
         np.testing.assert_array_equal(a.mu, b.mu)
         np.testing.assert_array_equal(a.logvar, b.logvar)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            encode(np.zeros((1, 6, 6)), COND, init_weights(ARCH, 0))
+            reconstruct(np.zeros((1, 6, 6)), COND, init_weights(ARCH, 0))
         with pytest.raises(ShapeError):
-            encode(np.zeros((1, 8, 8)), np.zeros(3), init_weights(ARCH, 0))
+            reconstruct(np.zeros((1, 8, 8)), np.zeros(3), init_weights(ARCH, 0))
+        with pytest.raises(ShapeError):
+            reconstruct(np.zeros((2, 8, 8)), COND, init_weights(ARCH, 0))
 
     def test_mean_path_piecewise_linear_along_a_line(self):
         """Slopes of t -> mu(x + t*d) from both sides agree away from kinks."""
@@ -66,47 +75,73 @@ class TestEncode:
         agreements = 0
         samples = 50
         for t in np.linspace(-1.0, 1.0, samples):
-            mu0, _ = encode(x + (t - h) * d, COND, w)
-            mu1, _ = encode(x + t * d, COND, w)
-            mu2, _ = encode(x + (t + h) * d, COND, w)
-            left = (mu1.mu - mu0.mu) / h
-            right = (mu2.mu - mu1.mu) / h
+            mu0 = forward(x + (t - h) * d, COND, w)[1].mu
+            mu1 = forward(x + t * d, COND, w)[1].mu
+            mu2 = forward(x + (t + h) * d, COND, w)[1].mu
+            left = (mu1 - mu0) / h
+            right = (mu2 - mu1) / h
             if np.allclose(left, right, rtol=1e-4, atol=1e-4):
                 agreements += 1
         # kinks are isolated points; nearly every sampled t sits inside a piece
         assert agreements >= samples - 3
 
 
+def _conv_loops(x, kernel, bias):
+    """Zero-padded "same" convolution of a (C, H, W) map by nested loops."""
+    c_out, c_in, k, _ = kernel.shape
+    _, hh, ww = x.shape
+    out = np.zeros((c_out, hh, ww))
+    for o in range(c_out):
+        for i in range(hh):
+            for j in range(ww):
+                acc = bias[o]
+                for c in range(c_in):
+                    for di in range(k):
+                        for dj in range(k):
+                            ii, jj = i + di - k // 2, j + dj - k // 2
+                            if 0 <= ii < hh and 0 <= jj < ww:
+                                acc += kernel[o, c, di, dj] * x[c, ii, jj]
+                out[o, i, j] = acc
+    return out
+
+
 class TestDecode:
     def test_zero_weights_give_zero_image(self):
-        w = zero_weights(ARCH)
-        skips = [np.zeros((3, 8, 8)), np.zeros((5, 4, 4))]
-        out = decode(np.ones(3), COND, skips, w)
-        np.testing.assert_array_equal(out, np.zeros((1, 8, 8)))
+        x = np.random.default_rng(10).normal(size=(2, 8, 8))
+        recon, _, _ = forward(x, np.ones((2, 2)), zero_weights(ARCH), eps=np.ones((2, 3)))
+        np.testing.assert_array_equal(recon, np.zeros((2, 8, 8)))
 
     def test_positive_homogeneity_with_zero_bias(self):
-        # biases are zero at init; relu is positively homogeneous, so jointly
-        # doubling latent and skips (conditions held at zero) doubles the output
+        # biases are zero at init; relu and maxpool are positively
+        # homogeneous, so with the conditions held at zero doubling the image
+        # doubles the reconstruction
         w = init_weights(ARCH, 9)
-        rng = np.random.default_rng(3)
-        latent = rng.normal(size=3)
-        skips = [rng.normal(size=(3, 8, 8)), rng.normal(size=(5, 4, 4))]
+        x = np.random.default_rng(3).normal(size=(1, 8, 8))
         zero_cond = np.zeros(2)
-        one = decode(latent, zero_cond, skips, w)
-        two = decode(2.0 * latent, zero_cond, [2.0 * s for s in skips], w)
-        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(reconstruct(2.0 * x, zero_cond, w),
+                                   2.0 * reconstruct(x, zero_cond, w),
+                                   rtol=1e-10, atol=1e-12)
 
     def test_matches_hand_unrolled_single_block(self):
-        """Nested-loop re-implementation of a one-block decoder on 4x4."""
+        """Nested-loop re-implementation of a one-block network on 4x4."""
         arch = ArchitectureSpec(side=4, channels=(2,), latent_dim=2)
         w = init_weights(arch, 11)
         rng = np.random.default_rng(4)
-        latent = rng.normal(size=2)
-        skip = rng.normal(size=(2, 4, 4))
+        for name in ("enc0_b", "mu_b", "dec_dense_b", "dec0_b"):
+            w.params[name] = rng.normal(size=w.params[name].shape)
+        x = rng.normal(size=(4, 4))
         cond = np.array([0.3, -0.7])
-        out = decode(latent, cond, [skip], w)
+        out = reconstruct(x, cond, w)
 
-        zc = np.concatenate([latent, cond])
+        inp = np.stack([x, np.full((4, 4), cond[0]), np.full((4, 4), cond[1])])
+        skip = np.maximum(_conv_loops(inp, w["enc0_w"], w["enc0_b"]), 0.0)
+        pooled = np.zeros((2, 2, 2))
+        for c in range(2):
+            for i in range(2):
+                for j in range(2):
+                    pooled[c, i, j] = skip[c, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
+        mu = w["mu_w"] @ pooled.reshape(-1) + w["mu_b"]
+        zc = np.concatenate([mu, cond])
         g = w["dec_dense_w"] @ zc + w["dec_dense_b"]
         deep = np.maximum(g.reshape(2, 2, 2), 0.0)
         up = np.zeros((2, 4, 4))
@@ -115,24 +150,12 @@ class TestDecode:
                 for j in range(4):
                     up[c, i, j] = deep[c, i // 2, j // 2]
         cat = np.concatenate([up, skip], axis=0)
-        expected = np.zeros((1, 4, 4))
-        kernel, bias = w["dec0_w"], w["dec0_b"]
-        for i in range(4):
-            for j in range(4):
-                acc = bias[0]
-                for c in range(4):
-                    for di in range(3):
-                        for dj in range(3):
-                            ii, jj = i + di - 1, j + dj - 1
-                            if 0 <= ii < 4 and 0 <= jj < 4:
-                                acc += kernel[0, c, di, dj] * cat[c, ii, jj]
-                expected[0, i, j] = acc
+        expected = _conv_loops(cat, w["dec0_w"], w["dec0_b"])
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     def test_latent_length_rejected(self):
         with pytest.raises(ShapeError):
-            decode(np.zeros(4), COND, [np.zeros((3, 8, 8)), np.zeros((5, 4, 4))],
-                   init_weights(ARCH, 0))
+            forward(np.zeros((1, 8, 8)), COND, init_weights(ARCH, 0), eps=np.zeros(4))
 
 
 class TestReconstruct:

@@ -10,20 +10,22 @@ from siad.anomaly import AnomalyMask, RoiMask
 from siad.errors import NumericalDiagnosticError
 from siad.inference import NoiseModel, contrast_vector, line_decomposition
 from siad.model import ArchitectureSpec, init_weights, reconstruct, zero_weights
-from siad.parametric import (AffineLine, _LinePlan, _maxpool2_affine, _relu_affine,
-                             parametric_infer, scan_linear_pieces)
+from siad.ops import MaxPool2, Relu
+from siad.parametric import AffineLine, _LinePlan, parametric_infer, scan_linear_pieces
 from siad.synth import gen_null_cohort
+
+
+def _relu_affine(off, slope, z_probe):
+    """A relu layer's affine pass on separate offset and slope vectors."""
+    out, crossing = Relu().affine(np.stack([off, slope]), z_probe)
+    return out[0], out[1], crossing
 
 
 class TestReluAffine:
     def test_single_neuron_breakpoint(self):
         """Pre-activation 1 + 2z on [-5, 5]: off below -0.5, linear above."""
-        def eval_fn(z_probe):
-            off, slope, crossing = _relu_affine(np.array([1.0]), np.array([2.0]),
-                                                z_probe)
-            return off, slope, crossing
-
-        pieces = scan_linear_pieces(eval_fn, (-5.0, 5.0))
+        pieces = scan_linear_pieces(
+            lambda z: _relu_affine(np.array([1.0]), np.array([2.0]), z), (-5.0, 5.0))
         assert len(pieces) == 2
         lo_piece, hi_piece = pieces
         assert lo_piece[0] == -5.0
@@ -42,21 +44,32 @@ class TestReluAffine:
         off, slope, _ = _relu_affine(np.array([0.0, 0.0]), np.array([1.0, -1.0]), 0.0)
         np.testing.assert_array_equal(slope, [1.0, 0.0])
 
+    def test_probe_on_a_rounded_zero_ends_the_pattern_there(self):
+        """0.215 - 0.355 z at its own computed zero rounds to +2.8e-17, so
+        the unit reads as on although it turns off right away; the crossing
+        is then the probe itself, not dropped."""
+        z = -0.215 / -0.355
+        _, slope, crossing = _relu_affine(np.array([0.215]), np.array([-0.355]), z)
+        assert 0.215 + -0.355 * z > 0.0 and slope[0] == -0.355
+        assert crossing == z
+
 
 class TestMaxpoolAffine:
+    """One window of four competitors, given as (offset, slope) 2x2 planes."""
+
     def test_overtake_crossing(self):
-        # channel with 4 competitors: constant 1 vs line z; they meet at z=1
-        off = np.array([[[1.0, 0.0], [-5.0, -5.0]]])
-        slope = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-        out_off, out_slope, crossing = _maxpool2_affine(off, slope, 0.0)
-        assert out_off[0, 0, 0] == 1.0 and out_slope[0, 0, 0] == 0.0
+        # constant 1 vs the line z; they meet at z=1
+        pair = np.array([[[1.0, 0.0], [-5.0, -5.0]],
+                         [[0.0, 1.0], [0.0, 0.0]]])[:, :, :, None]
+        pooled, crossing = MaxPool2().affine(pair, 0.0)
+        assert pooled[0, 0, 0, 0] == 1.0 and pooled[1, 0, 0, 0] == 0.0
         assert crossing == pytest.approx(1.0)
 
     def test_tie_at_probe_prefers_larger_slope(self):
-        off = np.array([[[1.0, 1.0], [-5.0, -5.0]]])
-        slope = np.array([[[-1.0, 2.0], [0.0, 0.0]]])
-        out_off, out_slope, _ = _maxpool2_affine(off, slope, 0.0)
-        assert out_slope[0, 0, 0] == 2.0
+        pair = np.array([[[1.0, 1.0], [-5.0, -5.0]],
+                         [[-1.0, 2.0], [0.0, 0.0]]])[:, :, :, None]
+        pooled, _ = MaxPool2().affine(pair, 0.0)
+        assert pooled[1, 0, 0, 0] == 2.0
 
 
 class TestParametricInfer:
@@ -192,7 +205,7 @@ class TestStageCache:
         line, _ = line_decomposition(x, eta, NoiseModel(1.0))
         plan = _LinePlan(line, np.zeros(2), w)
         pieces = scan_linear_pieces(plan.evaluate, line.window)
-        z_dependent = len(plan.stages) - 1
+        z_dependent = len(plan.layers) - 1
         assert len(pieces) > 100
         assert plan.stages_run < len(pieces) * z_dependent
 

@@ -68,6 +68,50 @@ class TestGradients:
         np.testing.assert_array_equal(grads["mu_b"], mu_b)
 
 
+def _worst_relative(got, want):
+    """Largest |got - want| relative to the largest |want|."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestBatching:
+    def test_batch_gives_the_sum_of_single_examples(self):
+        w = init_weights(ARCH, 23)
+        rng = np.random.default_rng(23)
+        for name in ("enc0_b", "mu_b", "logvar_b", "dec_dense_b", "dec1_b"):
+            w.params[name] = 0.1 * rng.normal(size=w.params[name].shape)
+        x = rng.normal(size=(5, 8, 8))
+        cond = rng.normal(size=(5, 2))
+        eps = rng.normal(size=(5, 3))
+        loss, grads = loss_and_gradients(x, cond, w, eps)
+        singles = [loss_and_gradients(x[i], cond[i], w, eps[i]) for i in range(5)]
+        assert _worst_relative(np.array(loss), np.array(sum(s[0] for s in singles))) < 1e-12
+        assert set(grads) == set(w.params)
+        for name, g in grads.items():
+            assert g.shape == w[name].shape
+            want = sum(s[1][name] for s in singles)
+            assert _worst_relative(g, want) < 1e-12, name
+        mean_path = sum(evaluate_loss(x[i], cond[i], w) for i in range(5))
+        assert _worst_relative(np.array(evaluate_loss(x, cond, w)),
+                               np.array(mean_path)) < 1e-12
+
+    def test_batched_draws_repeat_the_per_example_stream(self):
+        """``train`` draws a minibatch's latent noise as one (B, latent)
+        array; on the training Philox stream that is the B per-example
+        draws in turn, and the stream continues the same way after it."""
+        def stream():
+            return np.random.Generator(np.random.Philox(key=[np.uint64(9), np.uint64(0x7e)]))
+
+        batched, single = stream(), stream()
+        batched.permutation(24)
+        single.permutation(24)
+        for size in (16, 5):
+            draws = batched.standard_normal((size, ARCH.latent_dim))
+            one_by_one = np.stack([single.standard_normal(ARCH.latent_dim)
+                                   for _ in range(size)])
+            np.testing.assert_array_equal(draws, one_by_one)
+        np.testing.assert_array_equal(batched.permutation(24), single.permutation(24))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_weights(self):
         w = init_weights(ARCH, 1)
