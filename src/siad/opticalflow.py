@@ -6,25 +6,32 @@ constancy plus a smoothness penalty, solved by Jacobi iteration), and the
 field is reduced to its divergence: positive where the image content
 locally expands, negative where it contracts.  Flow is expressed per year
 so subjects with different scan gaps are comparable.
+
+Each Jacobi sweep takes the neighbourhood averages of u and v, stacked as
+one ``(2, H, W)`` array, with a single ``scipy.ndimage.correlate`` whose
+``"mirror"`` border is numpy's ``np.pad(..., mode="reflect")``.  The flow is
+bit for bit that of padding and adding the eight weighted shifted
+neighbours: the correlation skips the zero centre tap and sums
+``0 + w0*x0 + w1*x1 + ...`` over the others in row-major order, as they did.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import DataError, ShapeError
 
 HS_DEFAULT_SMOOTHNESS = 0.5
 HS_DEFAULT_ITERATIONS = 200
 
-# Horn-Schunck neighbourhood average: 1/6 edges, 1/12 corners.
-_AVG_WEIGHTS = (
-    (-1, -1, 1 / 12), (-1, 0, 1 / 6), (-1, 1, 1 / 12),
-    (0, -1, 1 / 6), (0, 1, 1 / 6),
-    (1, -1, 1 / 12), (1, 0, 1 / 6), (1, 1, 1 / 12),
-)
+# Horn-Schunck neighbourhood average: 1/6 edges, 1/12 corners, zero centre;
+# the leading axis of length one keeps the stacked u and v apart.
+_AVG_KERNEL = np.array([[[1, 2, 1], [2, 0, 2], [1, 2, 1]]]) / 12
 
 
 @dataclass(frozen=True)
@@ -41,8 +48,12 @@ class ImagePair:
         second = _as_plane_3d(self.second)
         if first.shape != second.shape:
             raise ShapeError(f"image shapes differ: {first.shape} vs {second.shape}")
-        if not self.time_gap > 0:
-            raise DataError(f"time gap must be positive, got {self.time_gap}")
+        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+            raise DataError("non-finite pixel values")
+        if not 0 < self.time_gap < math.inf:
+            raise DataError(f"time gap must be positive and finite, got {self.time_gap}")
+        if not math.isfinite(self.age_at_first):
+            raise DataError(f"age at first scan must be finite, got {self.age_at_first}")
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
@@ -84,16 +95,9 @@ def _as_plane_3d(arr) -> np.ndarray:
         arr = arr[None, :, :]
     if arr.ndim != 3 or arr.shape[0] != 1:
         raise ShapeError(f"expected a single-channel image, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"image is empty: shape {arr.shape}")
     return arr
-
-
-def _neighbor_average(f: np.ndarray) -> np.ndarray:
-    padded = np.pad(f, 1, mode="reflect")
-    h, w = f.shape
-    out = np.zeros_like(f)
-    for di, dj, wgt in _AVG_WEIGHTS:
-        out += wgt * padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
-    return out
 
 
 def _central_gradients(img: np.ndarray):
@@ -111,43 +115,36 @@ def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
     Spatial gradients are central differences of the two-frame mean with
     reflective borders; the temporal gradient is the forward difference.
     Starting from zero flow, each Jacobi sweep replaces the field by its
-    neighbourhood average corrected along the image gradient.  The raw
-    displacement is divided by the scan gap, so identical images yield an
-    exactly zero field.
+    neighbourhood average (one ``ndimage.correlate`` over the stacked u and
+    v, mirror borders = reflect padding, same sum order as shifted adds)
+    corrected along the image gradient.  The raw displacement is divided
+    by the scan gap, so identical images yield an exactly zero field.
     """
-    if not smoothness > 0:
-        raise DataError(f"smoothness must be positive, got {smoothness}")
-    if iterations < 1:
-        raise DataError(f"need at least one iteration, got {iterations}")
+    if not 0 < smoothness < math.inf:
+        raise DataError(f"smoothness must be positive and finite, got {smoothness}")
+    if not isinstance(iterations, numbers.Integral) or iterations < 1:
+        raise DataError(f"need a whole number of iterations >= 1, got {iterations!r}")
     i1 = pair.first[0]
     i2 = pair.second[0]
     gx, gy = _central_gradients(0.5 * (i1 + i2))
     gt = i2 - i1
     denom = smoothness ** 2 + gx * gx + gy * gy
 
-    u = np.zeros_like(i1)
-    v = np.zeros_like(i1)
+    g = np.stack((gx, gy))
+    uv = np.zeros_like(g)
+    avg = np.empty_like(g)
     for _ in range(iterations):
-        u_avg = _neighbor_average(u)
-        v_avg = _neighbor_average(v)
-        scale = (gx * u_avg + gy * v_avg + gt) / denom
-        u = u_avg - gx * scale
-        v = v_avg - gy * scale
-    return FlowField(u / pair.time_gap, v / pair.time_gap)
+        ndimage.correlate(uv, _AVG_KERNEL, output=avg, mode="mirror")
+        scale = (gx * avg[0] + gy * avg[1] + gt) / denom
+        uv = avg - g * scale
+    return FlowField(uv[0] / pair.time_gap, uv[1] / pair.time_gap)
 
 
 def divergence(flow: FlowField) -> ScalarFlowMap:
     """du/dx + dv/dy, central differences inside, one-sided at the borders."""
-    u, v = flow.u, flow.v
-    dudx = np.empty_like(u)
-    dudx[:, 1:-1] = 0.5 * (u[:, 2:] - u[:, :-2])
-    dudx[:, 0] = u[:, 1] - u[:, 0]
-    dudx[:, -1] = u[:, -1] - u[:, -2]
-    dvdy = np.empty_like(v)
-    dvdy[1:-1, :] = 0.5 * (v[2:, :] - v[:-2, :])
-    dvdy[0, :] = v[1, :] - v[0, :]
-    dvdy[-1, :] = v[-1, :] - v[-2, :]
-    return ScalarFlowMap(dudx + dvdy)
+    if min(flow.u.shape) < 2:
+        raise ShapeError(f"divergence needs both sides >= 2, got shape {flow.u.shape}")
+    return ScalarFlowMap(np.gradient(flow.u, axis=1) + np.gradient(flow.v, axis=0))
 
 
 def standardize_cohort(maps):
@@ -177,6 +174,8 @@ def standardize_conditions(conditions):
     conds = np.asarray(conditions, dtype=np.float64)
     if conds.ndim != 2 or conds.shape[0] < 2:
         raise DataError(f"need an (n >= 2, k) condition array, got {conds.shape}")
+    if not np.all(np.isfinite(conds)):
+        raise DataError("non-finite condition values")
     means = conds.mean(axis=0)
     stds = conds.std(axis=0)
     if np.any(stds == 0.0):

@@ -10,6 +10,37 @@ from siad.opticalflow import (FlowField, ImagePair, ScalarFlowMap, divergence,
 from siad.synth import MotionSpec, gen_image_pairs
 
 
+def _reference_horn_schunck(pair: ImagePair, smoothness: float, iterations: int):
+    """The sweep as padding plus eight shifted adds, in the library's order."""
+    weights = ((-1, -1, 1 / 12), (-1, 0, 1 / 6), (-1, 1, 1 / 12),
+               (0, -1, 1 / 6), (0, 1, 1 / 6),
+               (1, -1, 1 / 12), (1, 0, 1 / 6), (1, 1, 1 / 12))
+
+    def neighbor_average(f):
+        padded = np.pad(f, 1, mode="reflect")
+        h, w = f.shape
+        out = np.zeros_like(f)
+        for di, dj, wgt in weights:
+            out += wgt * padded[1 + di:1 + di + h, 1 + dj:1 + dj + w]
+        return out
+
+    i1, i2 = pair.first[0], pair.second[0]
+    padded = np.pad(0.5 * (i1 + i2), 1, mode="reflect")
+    gx = 0.5 * (padded[1:-1, 2:] - padded[1:-1, :-2])
+    gy = 0.5 * (padded[2:, 1:-1] - padded[:-2, 1:-1])
+    gt = i2 - i1
+    denom = smoothness ** 2 + gx * gx + gy * gy
+    u = np.zeros_like(i1)
+    v = np.zeros_like(i1)
+    for _ in range(iterations):
+        u_avg = neighbor_average(u)
+        v_avg = neighbor_average(v)
+        scale = (gx * u_avg + gy * v_avg + gt) / denom
+        u = u_avg - gx * scale
+        v = v_avg - gy * scale
+    return u / pair.time_gap, v / pair.time_gap
+
+
 def _total_variation(flow: FlowField) -> float:
     return float(np.abs(np.diff(flow.u, axis=0)).sum()
                  + np.abs(np.diff(flow.u, axis=1)).sum()
@@ -84,6 +115,75 @@ class TestHornSchunck:
             ImagePair(first=np.zeros((4, 4)), second=np.zeros((4, 4)),
                       time_gap=0.0, age_at_first=70.0)
 
+    def test_fractional_iterations_rejected(self):
+        sp = gen_image_pairs(1, 8, MotionSpec(), seed=1)[0]
+        with pytest.raises(DataError):
+            horn_schunck(sp.pair, 0.5, 2.5)
+
+    def test_numpy_integer_iterations_accepted(self):
+        sp = gen_image_pairs(1, 8, MotionSpec(kind="translate", dx=0.5), seed=1)[0]
+        flow = horn_schunck(sp.pair, 0.5, np.int64(7))
+        np.testing.assert_array_equal(flow.u, horn_schunck(sp.pair, 0.5, 7).u)
+
+    def test_infinite_smoothness_rejected(self):
+        sp = gen_image_pairs(1, 8, MotionSpec(), seed=1)[0]
+        with pytest.raises(DataError):
+            horn_schunck(sp.pair, smoothness=np.inf)
+
+
+class TestSweepOracle:
+    """The correlate sweep reproduces padding plus shifted adds bit for bit."""
+
+    @pytest.mark.parametrize("side", [2, 3, 16, 17, 80])
+    @pytest.mark.parametrize("smoothness,iterations", [(0.5, 200), (2.0, 7), (0.1, 1)])
+    def test_bit_identical_to_shifted_adds(self, side, smoothness, iterations):
+        rng = np.random.default_rng(side)
+        pair = ImagePair(first=rng.normal(size=(side, side)),
+                         second=rng.normal(size=(side, side)),
+                         time_gap=1.7, age_at_first=70.0)
+        flow = horn_schunck(pair, smoothness, iterations)
+        u, v = _reference_horn_schunck(pair, smoothness, iterations)
+        assert flow.u.tobytes() == u.tobytes()
+        assert flow.v.tobytes() == v.tobytes()
+
+    def test_bit_identical_on_a_rectangle(self):
+        sp = gen_image_pairs(1, 17, MotionSpec(kind="dilate", rate=0.05), seed=3)[0]
+        pair = ImagePair(first=sp.pair.first[0, :5], second=sp.pair.second[0, :5],
+                         time_gap=sp.pair.time_gap, age_at_first=sp.pair.age_at_first)
+        flow = horn_schunck(pair, 0.5, 50)
+        u, v = _reference_horn_schunck(pair, 0.5, 50)
+        assert flow.u.tobytes() == u.tobytes()
+        assert flow.v.tobytes() == v.tobytes()
+
+
+class TestImagePairValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        img = np.zeros((4, 4))
+        img[1, 2] = bad
+        with pytest.raises(DataError):
+            ImagePair(first=img, second=np.zeros((4, 4)), time_gap=1.0, age_at_first=70.0)
+        with pytest.raises(DataError):
+            ImagePair(first=np.zeros((4, 4)), second=img, time_gap=1.0, age_at_first=70.0)
+
+    def test_empty_image_rejected(self):
+        with pytest.raises(ShapeError):
+            ImagePair(first=np.zeros((0, 0)), second=np.zeros((0, 0)),
+                      time_gap=1.0, age_at_first=70.0)
+        with pytest.raises(ShapeError):
+            ScalarFlowMap(np.zeros((1, 0, 4)))
+
+    @pytest.mark.parametrize("gap", [np.inf, np.nan])
+    def test_non_finite_gap_rejected(self, gap):
+        with pytest.raises(DataError):
+            ImagePair(first=np.zeros((4, 4)), second=np.zeros((4, 4)),
+                      time_gap=gap, age_at_first=70.0)
+
+    def test_nan_age_rejected(self):
+        with pytest.raises(DataError):
+            ImagePair(first=np.zeros((4, 4)), second=np.zeros((4, 4)),
+                      time_gap=1.0, age_at_first=np.nan)
+
 
 class TestDivergence:
     def test_uniform_translation_field_is_zero(self):
@@ -98,11 +198,22 @@ class TestDivergence:
 
     def test_matches_independent_stencil(self):
         rng = np.random.default_rng(9)
-        flow = FlowField(u=rng.normal(size=(7, 7)), v=rng.normal(size=(7, 7)))
-        div = divergence(flow).values[0]
-        # numpy's gradient implements the same central/one-sided stencils
-        expected = np.gradient(flow.u, axis=1) + np.gradient(flow.v, axis=0)
-        np.testing.assert_allclose(div, expected, atol=1e-13)
+        u, v = rng.normal(size=(7, 7)), rng.normal(size=(7, 7))
+        div = divergence(FlowField(u=u, v=v)).values[0]
+        dudx = np.empty_like(u)
+        dudx[:, 1:-1] = 0.5 * (u[:, 2:] - u[:, :-2])
+        dudx[:, 0] = u[:, 1] - u[:, 0]
+        dudx[:, -1] = u[:, -1] - u[:, -2]
+        dvdy = np.empty_like(v)
+        dvdy[1:-1] = 0.5 * (v[2:] - v[:-2])
+        dvdy[0] = v[1] - v[0]
+        dvdy[-1] = v[-1] - v[-2]
+        assert div.tobytes() == (dudx + dvdy).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1)])
+    def test_side_of_one_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            divergence(FlowField(u=np.zeros(shape), v=np.zeros(shape)))
 
     def test_sign_convention_on_synthetic_dilation(self):
         sp = gen_image_pairs(1, 32, MotionSpec(kind="dilate", rate=0.05),
@@ -167,3 +278,8 @@ class TestStandardizeConditions:
     def test_constant_column_rejected(self):
         with pytest.raises(DataError):
             standardize_conditions([[70.0, 1.0], [70.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DataError):
+            standardize_conditions([[70.0, 1.0], [75.0, bad], [80.0, 3.0]])
