@@ -16,7 +16,7 @@ from siad import (ArchitectureSpec, NoiseModel, RoiMask, TrainConfig,
                   calibrate_threshold, detect, gen_null_cohort,
                   parametric_infer, reconstruct, selective_pvalue, train)
 from siad.anomaly import reconstruction_error
-from siad.inference import contrast_vector, line_decomposition, make_test_spec
+from siad.inference import contrast_vector, line_decomposition, sigma_of_contrast
 from siad.synth import keyed_rng
 
 arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
@@ -40,10 +40,10 @@ mask = detect(x, cond, weights, threshold, roi)
 print(f"pure-noise subject: detector flags {len(mask)} pixel(s) anyway")
 
 eta = contrast_vector(mask, roi)
-spec = make_test_spec(mask, roi, noise)
+sigma_t = sigma_of_contrast(eta, noise)
 line, z_obs = line_decomposition(x, eta, noise)
-print(f"contrast statistic z_obs = {z_obs:+.3f} (sd {spec.sigma_t:.3f}) -> "
-      f"the flagged pixels look {abs(z_obs) / spec.sigma_t:.1f} sigmas away")
+print(f"contrast statistic z_obs = {z_obs:+.3f} (sd {sigma_t:.3f}) -> "
+      f"the flagged pixels look {abs(z_obs) / sigma_t:.1f} sigmas away")
 
 pieces = parametric_infer(line, cond, weights)
 print(f"\nalong the line through the observation the network splits into "

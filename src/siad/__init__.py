@@ -22,7 +22,7 @@ from .anomaly import (AnomalyMask, RoiMask, Threshold, calibrate_threshold,
 from .errors import (DataError, DegenerateMaskError, MagicMismatchError,
                      ManifestError, NumericalDiagnosticError, ShapeError,
                      SiadError, TruncatedFileError, VersionMismatchError)
-from .inference import (NoiseModel, TestOutcome, TestSpec, TruncationSet,
+from .inference import (NoiseModel, TestOutcome, TruncationSet,
                         bonferroni_pvalue, contrast_vector, estimate_noise,
                         ks_statistic, line_decomposition, naive_pvalue,
                         selective_pvalue, test_statistic,

@@ -3,8 +3,9 @@ experiments that reproduce the empirical claims (null p-value uniformity,
 false-discovery-rate control, power ordering), plus a report merger.
 
 Configuration is layered: a named preset supplies defaults, an INI-style
-``key = value`` file (sections [cohort], [model], [train], [detect],
-[experiment]) overrides the preset, and command-line flags override both.
+``key = value`` file overrides the preset, and command-line flags override
+both.  Each key's section ([cohort], [model], [train], [detect] or
+[experiment]) comes from its ``RunConfig`` field.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical diagnostic.
 """
 
@@ -14,7 +15,7 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from .experiments import (evaluate_cohort, histogram_counts, ks_critical,
 from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
                      read_threshold, read_weights, result_row,
                      write_cohort_manifest, write_map, write_mask_csv,
-                     write_noise, write_roi, write_threshold, write_weights)
+                     write_noise, write_result_rows, write_roi, write_rows,
+                     write_threshold, write_weights)
 from .inference import NoiseModel, estimate_noise, ks_statistic
 from .model import ArchitectureSpec, reconstruct
 from .opticalflow import standardize_conditions
@@ -39,48 +41,68 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 
+def _key(section: str, default):
+    """A ``RunConfig`` field whose INI key belongs in ``[section]``."""
+    return field(default=default, metadata={"section": section})
+
+
+def _bad_level(levels):
+    """The first level not inside (0, 1) (nan included), or None."""
+    return next((a for a in levels if not 0.0 < a < 1.0), None)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Flattened configuration; see ``--help`` and the README for the schema."""
+    """Flattened configuration; each field's INI section is its ``section``
+    metadata.  Values that no command could run with are refused here."""
 
-    # [cohort]
-    n_train: int = 200
-    n_test: int = 50
-    n_inference: int = 100
-    n_variance: int = 50
-    n_diseased: int = 100
-    side: int = 16
-    sigma2: float = 1.0
-    seed: int = 0
-    age_min: float = 60.0
-    age_max: float = 85.0
-    gap_min: float = 1.0
-    gap_max: float = 5.0
-    signal_amplitude: float = 4.0
-    signal_shape: str = "plateau"
-    signal_size: int = 3
-    # [model]
-    channels: tuple = (8, 16)
-    latent: int = 4
-    kernel: int = 3
-    # [train]
-    epochs: int = 30
-    lr: float = 1e-4
-    batch_size: int = 16
-    patience: int = 20
-    min_delta: float = 0.0
-    holdout_fraction: float = 0.2
-    # [detect]
-    quantile: float = 0.95
-    roi_fraction: float = 0.25
-    noise_source: str = "known"
-    window_sigmas: float = 20.0
-    max_pieces: int = 10 ** 6
-    # [experiment]
-    n_null: int = 1000
-    bins: int = 20
-    workers: int = 2
-    alphas: tuple = (0.01, 0.05, 0.1)
+    n_train: int = _key("cohort", 200)
+    n_test: int = _key("cohort", 50)
+    n_inference: int = _key("cohort", 100)
+    n_variance: int = _key("cohort", 50)
+    n_diseased: int = _key("cohort", 100)
+    side: int = _key("cohort", 16)
+    sigma2: float = _key("cohort", 1.0)
+    seed: int = _key("cohort", 0)
+    age_min: float = _key("cohort", 60.0)
+    age_max: float = _key("cohort", 85.0)
+    gap_min: float = _key("cohort", 1.0)
+    gap_max: float = _key("cohort", 5.0)
+    signal_amplitude: float = _key("cohort", 4.0)
+    signal_shape: str = _key("cohort", "plateau")
+    signal_size: int = _key("cohort", 3)
+    channels: tuple = _key("model", (8, 16))
+    latent: int = _key("model", 4)
+    kernel: int = _key("model", 3)
+    epochs: int = _key("train", 30)
+    lr: float = _key("train", 1e-4)
+    batch_size: int = _key("train", 16)
+    patience: int = _key("train", 20)
+    min_delta: float = _key("train", 0.0)
+    holdout_fraction: float = _key("train", 0.2)
+    quantile: float = _key("detect", 0.95)
+    roi_fraction: float = _key("detect", 0.25)
+    noise_source: str = _key("detect", "known")
+    window_sigmas: float = _key("detect", 20.0)
+    max_pieces: int = _key("detect", 10 ** 6)
+    n_null: int = _key("experiment", 1000)
+    bins: int = _key("experiment", 20)
+    workers: int = _key("experiment", 2)
+    alphas: tuple = _key("experiment", (0.01, 0.05, 0.1))
+
+    def __post_init__(self):
+        checks = [("batch_size", self.batch_size >= 1, "must be at least 1"),
+                  ("bins", self.bins >= 1, "must be at least 1"),
+                  ("age_min", self.age_min <= self.age_max,
+                   f"must not exceed age_max = {self.age_max!r}"),
+                  ("gap_min", self.gap_min <= self.gap_max,
+                   f"must not exceed gap_max = {self.gap_max!r}"),
+                  ("holdout_fraction", 0.0 <= self.holdout_fraction <= 1.0,
+                   "must lie in [0, 1]"),
+                  ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)")]
+        for name, ok, rule in checks:
+            if not ok:
+                raise DataError(f"config value {name} = {getattr(self, name)!r}: {rule}")
 
 
 PRESETS = {
@@ -90,48 +112,25 @@ PRESETS = {
                        latent=10, epochs=1000, lr=1e-5),
 }
 
-_SECTION_OF = {
-    "n_train": "cohort", "n_test": "cohort", "n_inference": "cohort",
-    "n_variance": "cohort", "n_diseased": "cohort", "side": "cohort",
-    "sigma2": "cohort", "seed": "cohort", "age_min": "cohort",
-    "age_max": "cohort", "gap_min": "cohort", "gap_max": "cohort",
-    "signal_amplitude": "cohort", "signal_shape": "cohort", "signal_size": "cohort",
-    "channels": "model", "latent": "model", "kernel": "model",
-    "epochs": "train", "lr": "train", "batch_size": "train",
-    "patience": "train", "min_delta": "train", "holdout_fraction": "train",
-    "quantile": "detect", "roi_fraction": "detect", "noise_source": "detect",
-    "window_sigmas": "detect", "max_pieces": "detect",
-    "n_null": "experiment", "bins": "experiment", "workers": "experiment",
-    "alphas": "experiment",
-}
 
-
-def _parse_value(name: str, text: str, target_type):
+def _parse_value(name: str, text: str, default):
+    """``text`` as the type of ``default``; a tuple's items take the type of
+    its first item."""
     text = text.strip()
+    kind = type(default)
     try:
-        if target_type is tuple:
-            parts = [p for p in text.replace(",", " ").split() if p]
-            if name == "alphas":
-                levels = tuple(float(p) for p in parts)
-                if _bad_level(levels) is not None:
-                    raise DataError(f"config value alphas = {text!r}: levels must "
-                                    f"lie in (0, 1)")
-                return levels
-            return tuple(int(p) for p in parts)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        if kind is tuple:
+            return tuple(type(default[0])(p) for p in text.replace(",", " ").split())
+        return kind(text)
     except ValueError as exc:
-        raise DataError(f"config value {name} = {text!r} is not a {target_type.__name__}") from exc
+        raise DataError(f"config value {name} = {text!r} is not a {kind.__name__}") from exc
 
 
 def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
     if preset not in PRESETS:
         raise DataError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     cfg = PRESETS[preset]
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+    keys = {f.name: f for f in fields(RunConfig)}
     if config_path:
         parser = configparser.ConfigParser()
         read = parser.read(config_path)
@@ -140,12 +139,12 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
         updates = {}
         for section in parser.sections():
             for key, value in parser.items(section):
-                if key not in types:
+                if key not in keys:
                     raise DataError(f"unknown config key {key!r} in [{section}]")
-                if _SECTION_OF[key] != section:
-                    raise DataError(f"key {key!r} belongs in [{_SECTION_OF[key]}], "
-                                    f"found in [{section}]")
-                updates[key] = _parse_value(key, value, types[key])
+                home = keys[key].metadata["section"]
+                if home != section:
+                    raise DataError(f"key {key!r} belongs in [{home}], found in [{section}]")
+                updates[key] = _parse_value(key, value, keys[key].default)
         cfg = replace(cfg, **updates)
     clean = {k: v for k, v in overrides.items() if v is not None}
     if clean:
@@ -156,10 +155,6 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
 def _arch(cfg: RunConfig) -> ArchitectureSpec:
     return ArchitectureSpec(side=cfg.side, channels=cfg.channels,
                             latent_dim=cfg.latent, kernel_size=cfg.kernel)
-
-
-def _default_roi(cfg: RunConfig) -> RoiMask:
-    return RoiMask.centered_square(cfg.side, cfg.roi_fraction)
 
 
 def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
@@ -208,16 +203,9 @@ class _Paths:
 
 
 def _load_cohort(paths: _Paths):
-    entries = read_cohort_manifest(paths.manifest)
-    subjects = []
-    for e in entries:
-        image = read_map(paths.out / e["path"])
-        truth = None
-        if e["truth_path"]:
-            truth_map = read_map(paths.out / e["truth_path"])
-            truth = tuple(int(i) for i in np.flatnonzero(truth_map.reshape(-1)))
-        subjects.append({"id": e["id"], "role": e["role"], "image": image,
-                         "age": e["age"], "time_gap": e["time_gap"], "truth": truth})
+    """The manifest's entries, each with its image loaded under ``image``."""
+    subjects = [dict(e, image=read_map(paths.out / e["path"]))
+                for e in read_cohort_manifest(paths.manifest)]
     if not subjects:
         raise DataError(f"{paths.manifest}: empty cohort")
     return subjects
@@ -236,26 +224,20 @@ def _by_role(subjects, role):
     return picked
 
 
-def _load_pipeline(paths: _Paths):
-    weights = read_weights(paths.weights)
-    threshold = read_threshold(paths.threshold)
-    noise = read_noise(paths.noise)
-    roi = read_roi(paths.roi)
-    return weights, threshold, noise, roi
+def _evaluate(cfg: RunConfig, paths: _Paths, images, conds):
+    """Selective inference for each image with the run's stored weights,
+    threshold, ROI and noise model."""
+    return evaluate_cohort(images, conds, read_weights(paths.weights),
+                           read_threshold(paths.threshold), read_roi(paths.roi),
+                           read_noise(paths.noise), window_sigmas=cfg.window_sigmas,
+                           max_pieces=cfg.max_pieces, workers=cfg.workers)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def cmd_generate(cfg: RunConfig, paths: _Paths, force: bool) -> int:
-    if paths.manifest.exists() and not force:
+def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
+    if paths.manifest.exists() and not args.force:
         raise DataError(f"{paths.manifest} exists; pass --force to overwrite")
     paths.images.mkdir(parents=True, exist_ok=True)
-    roi = _default_roi(cfg)
+    roi = RoiMask.centered_square(cfg.side, cfg.roi_fraction)
     write_roi(paths.roi, roi, cfg.side)
     spec = _cohort_spec(cfg, roi)
     subjects = make_cohort(spec, roi.member)
@@ -276,7 +258,7 @@ def cmd_generate(cfg: RunConfig, paths: _Paths, force: bool) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, paths: _Paths) -> int:
+def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects = _load_cohort(paths)
     conds = _standardized_conds(subjects)
     train_subjects = _by_role(subjects, "train")
@@ -286,7 +268,7 @@ def cmd_train(cfg: RunConfig, paths: _Paths) -> int:
                          holdout_fraction=cfg.holdout_fraction, seed=cfg.seed)
     result = train(dataset, _arch(cfg), config)
     write_weights(paths.weights, result.weights)
-    _write_csv(paths.curve, ["epoch", "train_loss", "holdout_loss", "early_stop"],
+    write_rows(paths.curve, ["epoch", "train_loss", "holdout_loss", "early_stop"],
                [[r.epoch, repr(r.train_loss), repr(r.holdout_loss), int(r.early_stopped)]
                 for r in result.history])
     print(f"trained {len(result.history) - 1} epochs (best {result.best_epoch}); "
@@ -294,7 +276,7 @@ def cmd_train(cfg: RunConfig, paths: _Paths) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(cfg: RunConfig, paths: _Paths) -> int:
+def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects = _load_cohort(paths)
     conds = _standardized_conds(subjects)
     weights = read_weights(paths.weights)
@@ -317,27 +299,19 @@ def cmd_calibrate(cfg: RunConfig, paths: _Paths) -> int:
     return EXIT_OK
 
 
-def _outcome_rows(ids, outcomes):
-    return [result_row(i, o) for i, o in zip(ids, outcomes)]
-
-
-def cmd_test(cfg: RunConfig, paths: _Paths, subject_id: str) -> int:
+def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
+    subject_id = args.subject
     subjects = _load_cohort(paths)
     conds = _standardized_conds(subjects)
     matching = [s for s in subjects if s["id"] == subject_id]
     if not matching:
         raise DataError(f"unknown subject id {subject_id!r}")
-    subject = matching[0]
-    weights, threshold, noise, roi = _load_pipeline(paths)
-    outcomes = evaluate_cohort([subject["image"]], [conds[subject_id]], weights,
-                               threshold, roi, noise, window_sigmas=cfg.window_sigmas,
-                               max_pieces=cfg.max_pieces, workers=1)
-    outcome = outcomes[0]
-    mask = detect(subject["image"], conds[subject_id], weights, threshold, roi)
-    _write_csv(paths.out / f"result_{subject_id}.csv",
-               ["id", "mask_size", "t_obs", "sigma_t", "p_naive", "p_bonferroni",
-                "p_selective", "interval_count", "status"],
-               _outcome_rows([subject_id], [outcome]))
+    image, cond = matching[0]["image"], conds[subject_id]
+    outcome = _evaluate(cfg, paths, [image], [cond])[0]
+    mask = detect(image, cond, read_weights(paths.weights),
+                  read_threshold(paths.threshold), read_roi(paths.roi))
+    write_result_rows(paths.out / f"result_{subject_id}.csv",
+                      [result_row(subject_id, outcome)])
     write_mask_csv(paths.out / f"mask_{subject_id}.csv", mask)
     mask_map = mask.as_bool(cfg.side * cfg.side).astype(np.float64)
     write_map(paths.out / f"mask_{subject_id}.bin", mask_map.reshape(cfg.side, cfg.side))
@@ -358,20 +332,14 @@ def _null_conditions(cfg: RunConfig, subjects, count: int):
     return (raw - means) / stds
 
 
-def cmd_experiment_null(cfg: RunConfig, paths: _Paths) -> int:
+def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects = _load_cohort(paths)
-    weights, threshold, noise, roi = _load_pipeline(paths)
     images = gen_null_cohort(cfg.n_null, cfg.side, cfg.sigma2, cfg.seed,
                              start_index=10 ** 6)
     conds = _null_conditions(cfg, subjects, cfg.n_null)
-    outcomes = evaluate_cohort(images, conds, weights, threshold, roi, noise,
-                               window_sigmas=cfg.window_sigmas,
-                               max_pieces=cfg.max_pieces, workers=cfg.workers)
-    ids = [f"null-{i:05d}" for i in range(cfg.n_null)]
-    _write_csv(paths.null_pvalues,
-               ["id", "mask_size", "t_obs", "sigma_t", "p_naive", "p_bonferroni",
-                "p_selective", "interval_count", "status"],
-               _outcome_rows(ids, outcomes))
+    outcomes = _evaluate(cfg, paths, images, conds)
+    write_result_rows(paths.null_pvalues,
+                      [result_row(f"null-{i:05d}", o) for i, o in enumerate(outcomes)])
 
     rows = []
     hist = {}
@@ -382,77 +350,68 @@ def cmd_experiment_null(cfg: RunConfig, paths: _Paths) -> int:
         crit = ks_critical(len(pvals))
         rows.append([method, len(pvals), repr(float(ks)), repr(float(crit)),
                      int(ks < crit)])
-    _write_csv(paths.null_histogram, ["bin_lo", "bin_hi", "naive", "selective"],
+    write_rows(paths.null_histogram, ["bin_lo", "bin_hi", "naive", "selective"],
                [[repr(i / cfg.bins), repr((i + 1) / cfg.bins),
                  int(hist["naive"][i]), int(hist["selective"][i])]
                 for i in range(cfg.bins)])
-    _write_csv(paths.null_ks, ["method", "n_tested", "ks", "critical_1pct", "pass"],
+    write_rows(paths.null_ks, ["method", "n_tested", "ks", "critical_1pct", "pass"],
                rows)
     print(f"null experiment: {rows[1][1]} tested, selective ks={rows[1][2]} "
           f"(crit {rows[1][3]}), skips={skip_count(outcomes)}")
     return EXIT_OK
 
 
-def _summary_rows(summary):
-    return [[r.method, repr(r.alpha), r.rejections, r.failures, r.skips,
-             repr(r.proportion)] for r in summary]
+def _summary_row(r) -> list:
+    return [r.method, repr(r.alpha), r.rejections, r.failures, r.skips,
+            repr(r.proportion)]
 
 
 _SUMMARY_HEADER = ["method", "alpha", "rejections", "failures",
                    "degenerate_skips", "proportion"]
 
 
-def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths) -> int:
+def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects = _load_cohort(paths)
     conds = _standardized_conds(subjects)
-    weights, threshold, noise, roi = _load_pipeline(paths)
     held_out = _by_role(subjects, "inference")
-    outcomes = evaluate_cohort([s["image"] for s in held_out],
-                               [conds[s["id"]] for s in held_out],
-                               weights, threshold, roi, noise,
-                               window_sigmas=cfg.window_sigmas,
-                               max_pieces=cfg.max_pieces, workers=cfg.workers)
+    outcomes = _evaluate(cfg, paths, [s["image"] for s in held_out],
+                         [conds[s["id"]] for s in held_out])
     summary = rejection_summary(outcomes, cfg.alphas)
-    _write_csv(paths.fdr, _SUMMARY_HEADER, _summary_rows(summary))
+    write_rows(paths.fdr, _SUMMARY_HEADER, [_summary_row(r) for r in summary])
     for r in summary:
         print(f"{r.method}[alpha={r.alpha}]: reject {r.rejections} / "
               f"fail {r.failures} / skip {r.skips} -> {r.proportion:.3f}")
     return EXIT_OK
 
 
-def cmd_experiment_power(cfg: RunConfig, paths: _Paths, amplitudes) -> int:
+def cmd_experiment_power(cfg: RunConfig, paths: _Paths, args) -> int:
+    """Rejection rates on the stored diseased cohort, or on fresh cohorts
+    planted at each of ``--amplitudes``."""
     subjects = _load_cohort(paths)
-    conds = _standardized_conds(subjects)
-    weights, threshold, noise, roi = _load_pipeline(paths)
-    rows = []
-    if amplitudes:
-        region = _signal_region(cfg, roi)
+    if args.amplitudes:
+        region = _signal_region(cfg, read_roi(paths.roi))
         base_conds = _null_conditions(cfg, subjects, cfg.n_diseased)
-        for amp in amplitudes:
-            signal = SignalSpec(region=region, amplitude=amp, shape=cfg.signal_shape)
-            images = gen_diseased(cfg.n_diseased, cfg.side, signal, cfg.sigma2,
-                                  cfg.seed, start_index=2 * 10 ** 6)
-            outcomes = evaluate_cohort(images, base_conds, weights, threshold, roi,
-                                       noise, window_sigmas=cfg.window_sigmas,
-                                       max_pieces=cfg.max_pieces, workers=cfg.workers)
-            for r in rejection_summary(outcomes, cfg.alphas):
-                rows.append([repr(float(amp))] + _summary_rows([r])[0])
+        cases = [(amp, gen_diseased(cfg.n_diseased, cfg.side,
+                                    SignalSpec(region=region, amplitude=amp,
+                                               shape=cfg.signal_shape),
+                                    cfg.sigma2, cfg.seed, start_index=2 * 10 ** 6),
+                  base_conds) for amp in args.amplitudes]
     else:
+        conds = _standardized_conds(subjects)
         diseased = _by_role(subjects, "diseased")
-        outcomes = evaluate_cohort([s["image"] for s in diseased],
-                                   [conds[s["id"]] for s in diseased],
-                                   weights, threshold, roi, noise,
-                                   window_sigmas=cfg.window_sigmas,
-                                   max_pieces=cfg.max_pieces, workers=cfg.workers)
-        for r in rejection_summary(outcomes, cfg.alphas):
-            rows.append([repr(float(cfg.signal_amplitude))] + _summary_rows([r])[0])
-    _write_csv(paths.power, ["amplitude"] + _SUMMARY_HEADER, rows)
+        cases = [(cfg.signal_amplitude, [s["image"] for s in diseased],
+                  [conds[s["id"]] for s in diseased])]
+    rows = []
+    for amp, images, amp_conds in cases:
+        for r in rejection_summary(_evaluate(cfg, paths, images, amp_conds), cfg.alphas):
+            rows.append([repr(float(amp))] + _summary_row(r))
+    write_rows(paths.power, ["amplitude"] + _SUMMARY_HEADER, rows)
     for row in rows:
         print(f"amp={row[0]} {row[1]}[alpha={row[2]}]: reject {row[3]} -> {row[6]}")
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig, paths: _Paths) -> int:
+def cmd_report(cfg: RunConfig, paths: _Paths, args) -> int:
     wrote = []
     if paths.fdr.exists():
         _table_from_summary(paths.fdr, paths.table1, skip_amplitude=False)
@@ -490,7 +449,7 @@ def _table_from_summary(src, dst, skip_amplitude: bool):
         label = {"naive": "Naive", "bonferroni": "Bonferroni",
                  "selective": f"SI [alpha={alpha}]"}[method] + label_extra
         out.append([label, rejections, failures, repr(float(proportion))])
-    _write_csv(dst, ["method", "reject_the_null", "failed_to_reject", "fdr"], out)
+    write_rows(dst, ["method", "reject_the_null", "failed_to_reject", "fdr"], out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -507,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
         p.add_argument("--seed", type=int, default=None, help="cohort seed")
@@ -518,25 +479,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
         return p
 
-    common(sub.add_parser("generate", help="write a synthetic cohort")) \
+    command("generate", cmd_generate, "write a synthetic cohort") \
         .add_argument("--force", action="store_true")
-    common(sub.add_parser("train", help="train the detector on the train role"))
-    common(sub.add_parser("calibrate", help="derive threshold and noise model"))
-    common(sub.add_parser("test", help="test a single subject")) \
+    command("train", cmd_train, "train the detector on the train role")
+    command("calibrate", cmd_calibrate, "derive threshold and noise model")
+    command("test", cmd_test, "test a single subject") \
         .add_argument("--subject", required=True)
-    common(sub.add_parser("experiment-null", help="p-value uniformity on nulls"))
-    common(sub.add_parser("experiment-fdr", help="rejection rates on held-out nulls"))
-    power = common(sub.add_parser("experiment-power", help="rejection rates on the "
-                                                           "diseased cohort"))
-    power.add_argument("--amplitudes", type=str, default=None,
-                       help="comma-separated planted amplitudes to sweep")
-    common(sub.add_parser("report", help="merge experiment outputs into tables"))
+    command("experiment-null", cmd_experiment_null, "p-value uniformity on nulls")
+    command("experiment-fdr", cmd_experiment_fdr, "rejection rates on held-out nulls")
+    command("experiment-power", cmd_experiment_power,
+            "rejection rates on the diseased cohort") \
+        .add_argument("--amplitudes", type=str, default=None,
+                      help="comma-separated planted amplitudes to sweep")
+    command("report", cmd_report, "merge experiment outputs into tables")
     return parser
-
-
-def _bad_level(levels):
-    """The first level not inside (0, 1) (nan included), or None."""
-    return next((a for a in levels if not 0.0 < a < 1.0), None)
 
 
 def _float_list(flag: str, text):
@@ -557,7 +513,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         alphas = _float_list("--alpha", args.alpha)
-        amplitudes = _float_list("--amplitudes", getattr(args, "amplitudes", None))
+        args.amplitudes = _float_list("--amplitudes", getattr(args, "amplitudes", None))
         bad = _bad_level(alphas or ())
         if bad is not None:
             raise ValueError(f"--alpha levels must lie in (0, 1), got {bad!r}")
@@ -569,30 +525,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.preset, args.config, overrides)
         paths = _Paths(args.out)
         paths.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "generate":
-            return cmd_generate(cfg, paths, args.force)
-        if args.command == "train":
-            return cmd_train(cfg, paths)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, paths)
-        if args.command == "test":
-            return cmd_test(cfg, paths, args.subject)
-        if args.command == "experiment-null":
-            return cmd_experiment_null(cfg, paths)
-        if args.command == "experiment-fdr":
-            return cmd_experiment_fdr(cfg, paths)
-        if args.command == "experiment-power":
-            return cmd_experiment_power(cfg, paths, amplitudes)
-        if args.command == "report":
-            return cmd_report(cfg, paths)
-        raise DataError(f"unknown command {args.command!r}")
+        return args.run(cfg, paths, args)
     except NumericalDiagnosticError as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SiadError as exc:
+    except (SiadError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -35,7 +35,6 @@ WEIGHTS_MAGIC = b"SIAD"
 FORMAT_VERSION = 1
 
 COHORT_MANIFEST_HEADER = ["id", "role", "path", "age", "time_gap", "truth_path"]
-IMAGE_MANIFEST_HEADER = ["id", "path", "age", "time_gap", "label"]
 RESULT_HEADER = ["id", "mask_size", "t_obs", "sigma_t", "p_naive",
                  "p_bonferroni", "p_selective", "interval_count", "status"]
 
@@ -138,7 +137,8 @@ def read_mask_csv(path) -> AnomalyMask:
     return AnomalyMask(np.asarray(pixels, dtype=np.int64))
 
 
-def _write_rows(path, header, rows):
+def write_rows(path, header, rows):
+    """A CSV file: ``header``, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -165,9 +165,9 @@ def _read_rows(path, header):
 def write_cohort_manifest(path, entries):
     """``entries``: (id, role, path, age, time_gap, truth_path) tuples;
     ``truth_path`` is empty for subjects without a planted region."""
-    _write_rows(path, COHORT_MANIFEST_HEADER,
-                [[e[0], e[1], str(e[2]), repr(float(e[3])), repr(float(e[4])),
-                  str(e[5]) if e[5] else ""] for e in entries])
+    write_rows(path, COHORT_MANIFEST_HEADER,
+               [[e[0], e[1], str(e[2]), repr(float(e[3])), repr(float(e[4])),
+                 str(e[5]) if e[5] else ""] for e in entries])
 
 
 def read_cohort_manifest(path):
@@ -183,28 +183,9 @@ def read_cohort_manifest(path):
     return out
 
 
-def write_image_manifest(path, entries):
-    """``entries``: (id, path, age, time_gap, label) tuples."""
-    _write_rows(path, IMAGE_MANIFEST_HEADER,
-                [[e[0], str(e[1]), repr(float(e[2])), repr(float(e[3])), e[4]]
-                 for e in entries])
-
-
-def read_image_manifest(path):
-    rows = _read_rows(path, IMAGE_MANIFEST_HEADER)
-    out = []
-    for row in rows:
-        try:
-            out.append({"id": row[0], "path": row[1], "age": float(row[2]),
-                        "time_gap": float(row[3]), "label": row[4]})
-        except ValueError as exc:
-            raise ManifestError(f"{path}: malformed row for id {row[0]!r}") from exc
-    return out
-
-
 def write_result_rows(path, rows):
     """Per-subject outcome rows: see RESULT_HEADER for the column layout."""
-    _write_rows(path, RESULT_HEADER, rows)
+    write_rows(path, RESULT_HEADER, rows)
 
 
 def read_result_rows(path):

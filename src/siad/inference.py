@@ -46,16 +46,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class TestSpec:
-    """Contrast vector and statistic scale for one detected mask."""
-
-    eta: np.ndarray
-    sigma_t: float
-    mask: AnomalyMask
-    roi: RoiMask
-
-
-@dataclass(frozen=True)
 class TruncationSet:
     """Disjoint sorted z-intervals on which the detector output is the
     observed mask."""
@@ -137,11 +127,6 @@ def sigma_of_contrast(eta: np.ndarray, noise: NoiseModel) -> float:
     """Standard deviation of the contrast statistic under the noise model."""
     eta = np.asarray(eta, dtype=np.float64).reshape(-1)
     return float(math.sqrt(noise.sigma2 * float(eta @ eta)))
-
-
-def make_test_spec(mask: AnomalyMask, roi: RoiMask, noise: NoiseModel) -> TestSpec:
-    eta = contrast_vector(mask, roi)
-    return TestSpec(eta=eta, sigma_t=sigma_of_contrast(eta, noise), mask=mask, roi=roi)
 
 
 def estimate_noise(images) -> NoiseModel:
@@ -327,16 +312,17 @@ def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,
     if len(mask) == 0 or len(mask) == roi.count:
         return TestOutcome(status=STATUS_SKIPPED, mask_size=len(mask))
 
-    spec = make_test_spec(mask, roi, noise)
-    t_obs = test_statistic(x, spec.eta)
-    p_naive = naive_pvalue(t_obs, spec.sigma_t)
+    eta = contrast_vector(mask, roi)
+    sigma_t = sigma_of_contrast(eta, noise)
+    t_obs = test_statistic(x, eta)
+    p_naive = naive_pvalue(t_obs, sigma_t)
     p_bonf = bonferroni_pvalue(p_naive, roi.count)
-    line, z_obs = line_decomposition(x, spec.eta, noise, window_sigmas)
+    line, z_obs = line_decomposition(x, eta, noise, window_sigmas)
     trunc = truncation_region(line, cond, weights, threshold, roi, mask,
                               z_obs, max_pieces=max_pieces)
-    p_sel = truncated_normal_pvalue(z_obs, spec.sigma_t, trunc)
+    p_sel = truncated_normal_pvalue(z_obs, sigma_t, trunc)
     return TestOutcome(status=STATUS_TESTED, mask_size=len(mask), t_obs=t_obs,
-                       sigma_t=spec.sigma_t, p_naive=p_naive,
+                       sigma_t=sigma_t, p_naive=p_naive,
                        p_bonferroni=p_bonf, p_selective=p_sel, truncation=trunc)
 
 

@@ -95,6 +95,10 @@ class TrainConfig:
     holdout_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.batch_size >= 1:
+            raise DataError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 @dataclass
 class EpochRecord:

@@ -1,11 +1,15 @@
 """End-to-end command-line pipeline on a miniature configuration."""
 
 import csv
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siad.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from siad.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig,
+                      _parse_value, main)
 from siad.fileio import read_noise, read_result_rows, read_threshold
 
 TINY_CONFIG = """
@@ -94,6 +98,35 @@ class TestUsageAndErrors:
         assert "alphas" in captured.err and "Traceback" not in captured.err
         assert "reject" not in captured.out and _summary_text(out) == before
 
+    @pytest.mark.parametrize("command,old,new", [
+        ("train", "batch_size = 6", "batch_size = 0"),
+        ("train", "batch_size = 6", "batch_size = -4"),
+        ("experiment-null", "bins = 20", "bins = 0"),
+        ("generate", "seed = 5", "seed = 5\nage_min = 90"),
+        ("generate", "seed = 5", "seed = 5\ngap_min = 6"),
+        ("train", "batch_size = 6", "batch_size = 6\nholdout_fraction = nan"),
+    ], ids=["batch_size-0", "batch_size-neg", "bins-0", "age_min-above-age_max",
+            "gap_min-above-gap_max", "holdout_fraction-nan"])
+    def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                 command, old, new):
+        out = tmp_path / "run" if command == "generate" else pipeline_dir[0]
+        config = tmp_path / "config.ini"
+        config.write_text(TINY_CONFIG.replace(old, new))
+        key = new.split("\n")[-1].split(" = ")[0]
+        before = {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()}
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert key in captured.err and "Traceback" not in captured.err
+        assert {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()} == before
+
+    def test_key_in_wrong_section_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[model]\nepochs = 2\n")
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[train]" in err and "epochs" in err
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()
@@ -108,6 +141,37 @@ class TestUsageAndErrors:
         out, base = pipeline_dir
         assert main(["generate", *base]) == EXIT_DATA
         capsys.readouterr()
+
+
+def _readme_schema():
+    """{section: [(key, default text), ...]} from README's ``ini`` block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    schema = {}
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            keys = schema.setdefault(header.group(1), [])
+        else:
+            keys.extend(re.findall(r"(\w+) \(([^)]*)\)", line))
+    return schema
+
+
+class TestConfigSchema:
+    def test_readme_lists_each_field_under_its_section(self):
+        expected = {}
+        for f in fields(RunConfig):
+            expected.setdefault(f.metadata["section"], []).append(f.name)
+        listed = {section: [key for key, _ in keys]
+                  for section, keys in _readme_schema().items()}
+        assert listed == expected
+
+    def test_readme_defaults_match_run_config(self):
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        for keys in _readme_schema().values():
+            for key, text in keys:
+                first_choice = text.split("|")[0]
+                assert _parse_value(key, first_choice, defaults[key]) == defaults[key], key
 
 
 class TestGenerate:

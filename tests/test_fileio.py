@@ -8,10 +8,9 @@ import pytest
 from siad.anomaly import AnomalyMask, RoiMask, Threshold
 from siad.errors import (DataError, MagicMismatchError, ManifestError,
                          TruncatedFileError, VersionMismatchError)
-from siad.fileio import (read_cohort_manifest, read_image_manifest, read_map,
-                         read_mask_csv, read_noise, read_roi, read_threshold,
-                         read_weights, write_cohort_manifest,
-                         write_image_manifest, write_map, write_mask_csv,
+from siad.fileio import (read_cohort_manifest, read_map, read_mask_csv,
+                         read_noise, read_roi, read_threshold, read_weights,
+                         write_cohort_manifest, write_map, write_mask_csv,
                          write_noise, write_roi, write_threshold, write_weights)
 from siad.inference import NoiseModel
 from siad.model import ArchitectureSpec, init_weights
@@ -124,12 +123,6 @@ class TestManifests:
         assert rows[0]["id"] == "a-01" and rows[0]["truth_path"] is None
         assert rows[1]["truth_path"] == "truth.bin"
         assert rows[1]["age"] == 80.25
-
-    def test_image_manifest_roundtrip(self, tmp_path):
-        path = tmp_path / "images.csv"
-        write_image_manifest(path, [("s1", "x.bin", 66.0, 1.25, "healthy")])
-        rows = read_image_manifest(path)
-        assert rows[0]["label"] == "healthy" and rows[0]["time_gap"] == 1.25
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "manifest.csv"

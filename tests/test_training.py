@@ -191,3 +191,8 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train([], ARCH, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(DataError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
