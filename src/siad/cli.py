@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from .errors import DataError, NumericalDiagnosticError, SiadError
 from .experiments import (evaluate_cohort, histogram_counts, ks_critical,
                           rejection_summary, skip_count, tested_pvalues)
 from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
-                     read_threshold, read_weights, result_row,
+                     read_rows, read_threshold, read_weights, result_row,
                      write_cohort_manifest, write_map, write_mask_csv,
                      write_noise, write_result_rows, write_roi, write_rows,
                      write_threshold, write_weights)
@@ -83,8 +82,6 @@ class RunConfig:
     quantile: float = _key("detect", 0.95)
     roi_fraction: float = _key("detect", 0.25)
     noise_source: str = _key("detect", "known")
-    window_sigmas: float = _key("detect", 20.0)
-    max_pieces: int = _key("detect", 10 ** 6)
     n_null: int = _key("experiment", 1000)
     bins: int = _key("experiment", 20)
     workers: int = _key("experiment", 2)
@@ -99,6 +96,8 @@ class RunConfig:
                    f"must not exceed gap_max = {self.gap_max!r}"),
                   ("holdout_fraction", 0.0 <= self.holdout_fraction <= 1.0,
                    "must lie in [0, 1]"),
+                  ("noise_source", self.noise_source in ("known", "estimated"),
+                   "must be known or estimated"),
                   ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)")]
         for name, ok, rule in checks:
             if not ok:
@@ -229,8 +228,7 @@ def _evaluate(cfg: RunConfig, paths: _Paths, images, conds):
     threshold, ROI and noise model."""
     return evaluate_cohort(images, conds, read_weights(paths.weights),
                            read_threshold(paths.threshold), read_roi(paths.roi),
-                           read_noise(paths.noise), window_sigmas=cfg.window_sigmas,
-                           max_pieces=cfg.max_pieces, workers=cfg.workers)
+                           read_noise(paths.noise), workers=cfg.workers)
 
 
 def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
@@ -286,13 +284,11 @@ def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
         recon = reconstruct(s["image"], conds[s["id"]], weights)
         errors.append(reconstruction_error(s["image"], recon))
     threshold = calibrate_threshold(errors, roi, cfg.quantile)
-    write_threshold(paths.threshold, threshold)
     if cfg.noise_source == "known":
         noise = NoiseModel(cfg.sigma2)
-    elif cfg.noise_source == "estimated":
-        noise = estimate_noise([s["image"] for s in _by_role(subjects, "variance")])
     else:
-        raise DataError(f"noise_source must be known|estimated, got {cfg.noise_source!r}")
+        noise = estimate_noise([s["image"] for s in _by_role(subjects, "variance")])
+    write_threshold(paths.threshold, threshold)
     write_noise(paths.noise, noise)
     print(f"threshold {threshold.value:.6g} (q={cfg.quantile}), "
           f"noise sigma2 {noise.sigma2:.6g} ({noise.provenance})")
@@ -332,6 +328,9 @@ def _null_conditions(cfg: RunConfig, subjects, count: int):
     return (raw - means) / stds
 
 
+_HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "naive", "selective"]
+
+
 def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects = _load_cohort(paths)
     images = gen_null_cohort(cfg.n_null, cfg.side, cfg.sigma2, cfg.seed,
@@ -350,7 +349,7 @@ def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
         crit = ks_critical(len(pvals))
         rows.append([method, len(pvals), repr(float(ks)), repr(float(crit)),
                      int(ks < crit)])
-    write_rows(paths.null_histogram, ["bin_lo", "bin_hi", "naive", "selective"],
+    write_rows(paths.null_histogram, _HISTOGRAM_HEADER,
                [[repr(i / cfg.bins), repr((i + 1) / cfg.bins),
                  int(hist["naive"][i]), int(hist["selective"][i])]
                 for i in range(cfg.bins)])
@@ -368,6 +367,7 @@ def _summary_row(r) -> list:
 
 _SUMMARY_HEADER = ["method", "alpha", "rejections", "failures",
                    "degenerate_skips", "proportion"]
+_SUMMARY_KINDS = [str, float, int, int, int, float]
 
 
 def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
@@ -420,12 +420,9 @@ def cmd_report(cfg: RunConfig, paths: _Paths, args) -> int:
         _table_from_summary(paths.power, paths.table2, skip_amplitude=True)
         wrote.append(paths.table2)
     if paths.null_histogram.exists():
-        with open(paths.null_histogram, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
+        rows = read_rows(paths.null_histogram, _HISTOGRAM_HEADER, [float, float, int, int])
         lines = ["# bin_center naive selective"]
-        for lo, hi, naive, sel in rows:
-            center = 0.5 * (float(lo) + float(hi))
-            lines.append(f"{center:.4f} {naive} {sel}")
+        lines += [f"{0.5 * (lo + hi):.4f} {naive} {sel}" for lo, hi, naive, sel in rows]
         paths.histogram_dat.write_text("\n".join(lines) + "\n")
         wrote.append(paths.histogram_dat)
     if not wrote:
@@ -436,19 +433,18 @@ def cmd_report(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def _table_from_summary(src, dst, skip_amplitude: bool):
-    with open(src, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+    header, kinds = _SUMMARY_HEADER, _SUMMARY_KINDS
+    if skip_amplitude:
+        header, kinds = ["amplitude"] + header, [float] + kinds
     out = []
-    for row in rows:
-        if skip_amplitude:
-            amp, row = row[0], row[1:]
-            label_extra = f" amp={amp}"
-        else:
-            label_extra = ""
+    for row in read_rows(src, header, kinds):
+        label_extra = f" amp={row.pop(0)}" if skip_amplitude else ""
         method, alpha, rejections, failures, _, proportion = row
         label = {"naive": "Naive", "bonferroni": "Bonferroni",
-                 "selective": f"SI [alpha={alpha}]"}[method] + label_extra
-        out.append([label, rejections, failures, repr(float(proportion))])
+                 "selective": f"SI [alpha={alpha}]"}.get(method)
+        if label is None:
+            raise DataError(f"{src}: unknown method {method!r}")
+        out.append([label + label_extra, rejections, failures, repr(proportion)])
     write_rows(dst, ["method", "reject_the_null", "failed_to_reject", "fdr"], out)
 
 

@@ -15,13 +15,11 @@ import numpy as np
 from scipy import stats
 
 from .errors import DataError
-from .inference import (DEFAULT_WINDOW_SIGMAS, STATUS_SKIPPED, STATUS_TESTED,
-                        NoiseModel, selective_pvalue)
-from .parametric import DEFAULT_PIECE_CAP
+from .inference import STATUS_SKIPPED, STATUS_TESTED, NoiseModel, selective_pvalue
 
 NAIVE_ALPHA = 0.05  # fixed level for the uncorrected and Bonferroni rows
 
-_WORKER_STATE = {}
+_WORKER_STATE = {}  # selective_pvalue's keyword arguments, set once per worker
 
 
 def _worker_init(payload):
@@ -30,15 +28,10 @@ def _worker_init(payload):
 
 def _worker_evaluate(task):
     image, cond = task
-    s = _WORKER_STATE
-    return selective_pvalue(image, cond, s["weights"], s["threshold"], s["roi"],
-                            s["noise"], window_sigmas=s["window_sigmas"],
-                            max_pieces=s["max_pieces"])
+    return selective_pvalue(image, cond, **_WORKER_STATE)
 
 
 def evaluate_cohort(images, conds, weights, threshold, roi, noise: NoiseModel,
-                    window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-                    max_pieces: int = DEFAULT_PIECE_CAP,
                     workers: int = 1):
     """Selective inference for every subject, in input order.
 
@@ -50,9 +43,7 @@ def evaluate_cohort(images, conds, weights, threshold, roi, noise: NoiseModel,
         raise DataError(f"{len(images)} images vs {len(conds)} condition rows")
     tasks = [(np.asarray(img, dtype=np.float64).reshape(-1), np.asarray(cond))
              for img, cond in zip(images, conds)]
-    payload = {"weights": weights, "threshold": threshold, "roi": roi,
-               "noise": noise, "window_sigmas": window_sigmas,
-               "max_pieces": max_pieces}
+    payload = {"weights": weights, "threshold": threshold, "roi": roi, "noise": noise}
     if workers <= 1 or len(tasks) < 2:
         _worker_init(payload)
         return [_worker_evaluate(t) for t in tasks]

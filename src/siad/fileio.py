@@ -145,7 +145,12 @@ def write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_rows(path, header):
+def read_rows(path, header, kinds=None):
+    """The rows of a CSV file written by ``write_rows`` with ``header``, each
+    field converted by its column's entry of ``kinds`` (default: kept as
+    text).  A different header, a row of another length or a field that
+    does not convert is a ManifestError."""
+    kinds = kinds or [str] * len(header)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
@@ -158,7 +163,10 @@ def _read_rows(path, header):
             if len(row) != len(header):
                 raise ManifestError(f"{path}:{lineno}: expected {len(header)} fields, "
                                     f"found {len(row)}")
-            rows.append(row)
+            try:
+                rows.append([kind(v) for kind, v in zip(kinds, row)])
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{lineno}: malformed field: {exc}") from None
     return rows
 
 
@@ -171,16 +179,9 @@ def write_cohort_manifest(path, entries):
 
 
 def read_cohort_manifest(path):
-    rows = _read_rows(path, COHORT_MANIFEST_HEADER)
-    out = []
-    for row in rows:
-        try:
-            out.append({"id": row[0], "role": row[1], "path": row[2],
-                        "age": float(row[3]), "time_gap": float(row[4]),
-                        "truth_path": row[5] or None})
-        except ValueError as exc:
-            raise ManifestError(f"{path}: malformed row for id {row[0]!r}") from exc
-    return out
+    rows = read_rows(path, COHORT_MANIFEST_HEADER, [str, str, str, float, float, str])
+    return [{"id": r[0], "role": r[1], "path": r[2], "age": r[3], "time_gap": r[4],
+             "truth_path": r[5] or None} for r in rows]
 
 
 def write_result_rows(path, rows):
@@ -189,7 +190,7 @@ def write_result_rows(path, rows):
 
 
 def read_result_rows(path):
-    return _read_rows(path, RESULT_HEADER)
+    return read_rows(path, RESULT_HEADER)
 
 
 def result_row(subject_id: str, outcome) -> list:

@@ -7,9 +7,11 @@ anti-conservative), a Bonferroni correction over every mask the detector
 could have produced, and the selective test, which conditions on the event
 that the detector reproduces the observed mask.  The selective test works
 along the line through the observation in the direction of the contrast:
-the detector is decomposed into exact linear pieces there, the set of line
-parameters that reproduce the mask is assembled interval by interval, and
-the p-value comes from the normal distribution truncated to that set.
+the detector is decomposed into exact linear pieces over ±(|z_obs| + 20
+sigma).  On each piece a pixel's error is within the threshold on one closed
+band of the line parameter; the set where every unflagged ROI pixel is inside
+its band and every flagged one outside is found for all pieces in one array
+pass, and the p-value comes from the normal distribution truncated to it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .anomaly import AnomalyMask, RoiMask, Threshold, detect
 from .errors import (DataError, DegenerateMaskError, NumericalDiagnosticError,
                      ShapeError)
 from .model import ModelWeights
-from .parametric import DEFAULT_PIECE_CAP, AffineLine, parametric_infer
+from .parametric import AffineLine, parametric_infer
 
-DEFAULT_WINDOW_SIGMAS = 20.0
+WINDOW_SIGMAS = 20.0  # the window reaches this many sigma past |z_obs|
 STATUS_TESTED = "tested"
 STATUS_SKIPPED = "degenerate-skip"
 
@@ -161,7 +163,7 @@ def bonferroni_pvalue(p_naive: float, roi_size: int) -> float:
 
 
 def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel,
-                       window_sigmas: float = DEFAULT_WINDOW_SIGMAS):
+                       window_sigmas: float = WINDOW_SIGMAS):
     """Splits the observation into the contrast coordinate and its nuisance.
 
     Returns ``(line, z_obs)`` with ``line.at(z_obs) == x`` and
@@ -184,51 +186,61 @@ def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel,
     return line, z_obs
 
 
+def _matching_runs(ends: np.ndarray, e_off: np.ndarray, e_slope: np.ndarray,
+                   flagged: np.ndarray, t: float, merge_tol: float) -> list:
+    """Maximal z-intervals on which ``|error| > t`` is exactly ``flagged``.
+
+    On piece ``p``, spanning ``ends[p]``, ROI pixel ``i`` has the error
+    ``e_off[p, i] + e_slope[p, i] * z``, within t on a closed band of z.
+    The unflagged pixels' bands intersect in one interval per piece; the
+    flagged pixels' bands, sorted by start, leave a gap wherever one starts
+    past the running maximum of the ends before it.  Runs from all pieces
+    then merge across gaps of at most ``merge_tol``.
+    """
+    sloped = e_slope != 0.0
+    slope = np.where(sloped, e_slope, 1.0)
+    up, down = (t - e_off) / slope, (-t - e_off) / slope
+    # a zero-slope pixel's band is all of z, or none of it as (inf, inf)
+    flat_lo = np.where(np.abs(e_off) <= t, -np.inf, np.inf)
+    band_lo = np.where(sloped, np.minimum(up, down), flat_lo)
+    band_hi = np.where(sloped, np.maximum(up, down), np.inf)
+    lo = np.maximum(ends[:, 0], band_lo[:, ~flagged].max(axis=1, initial=-np.inf))
+    hi = np.minimum(ends[:, 1], band_hi[:, ~flagged].min(axis=1, initial=np.inf))
+    flag_lo, flag_hi = band_lo[:, flagged], band_hi[:, flagged]
+    order = np.argsort(flag_lo, axis=1)
+    starts = np.take_along_axis(flag_lo, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(flag_hi, order, axis=1), axis=1)
+    edge = np.full((len(ends), 1), np.inf)
+    gap_lo = np.maximum(lo[:, None], np.concatenate([-edge, reach], axis=1))
+    gap_hi = np.minimum(hi[:, None], np.concatenate([starts, edge], axis=1))
+    kept = gap_lo < gap_hi
+    run_lo, run_hi = gap_lo[kept], gap_hi[kept]
+    if run_lo.size == 0:
+        return []
+    # runs come sorted and disjoint, so each one's left neighbour ends last
+    first = np.flatnonzero(np.concatenate([[True], run_lo[1:] > run_hi[:-1] + merge_tol]))
+    return list(zip(run_lo[first].tolist(), np.maximum.reduceat(run_hi, first).tolist()))
+
+
 def truncation_region(line: AffineLine, cond, weights: ModelWeights,
                       threshold: Threshold, roi: RoiMask,
-                      observed: AnomalyMask, z_obs: float,
-                      max_pieces: int = DEFAULT_PIECE_CAP) -> TruncationSet:
+                      observed: AnomalyMask, z_obs: float) -> TruncationSet:
     """All z in the window where the detector reproduces the observed mask.
 
     Each linear piece of the reconstruction gives affine per-pixel errors;
-    their |error| = threshold crossings split the piece into sub-intervals
-    of constant mask, and the sub-intervals whose mask equals the observed
-    one are merged into maximal disjoint intervals.  The interval containing
-    ``z_obs`` must be found, otherwise something is numerically wrong.
+    ``_matching_runs`` keeps the z where every unflagged ROI pixel's error
+    is within the threshold and every flagged one's is not, for all pieces
+    at once.  The interval containing ``z_obs`` must be found, otherwise
+    something is numerically wrong.
     """
-    pieces = parametric_infer(line, cond, weights, max_pieces=max_pieces)
+    pieces = parametric_infer(line, cond, weights)
     roi_idx = roi.indices
-    a_roi = line.a[roi_idx]
-    b_roi = line.b[roi_idx]
-    obs_roi = observed.as_bool(roi.member.size)[roi_idx]
-    t = threshold.value
-
+    e_off = line.a[roi_idx] - np.array([p.recon_offset for p in pieces])[:, roi_idx]
+    e_slope = line.b[roi_idx] - np.array([p.recon_slope for p in pieces])[:, roi_idx]
     merge_tol = 1e-12 * max(1.0, abs(line.window[0]), abs(line.window[1]))
-    matched = []
-    for piece in pieces:
-        e_off = a_roi - piece.recon_offset[roi_idx]
-        e_slope = b_roi - piece.recon_slope[roi_idx]
-        sloped = e_slope != 0.0
-        cands = []
-        if np.any(sloped):
-            eo, es = e_off[sloped], e_slope[sloped]
-            for level in (t, -t):
-                zc = (level - eo) / es
-                cands.append(zc[(zc > piece.lo) & (zc < piece.hi)])
-        bounds = np.concatenate([[piece.lo], np.sort(np.concatenate(cands))
-                                 if cands else [], [piece.hi]])
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
-        errs = e_off[:, None] + e_slope[:, None] * mids[None, :]
-        agrees = np.all((np.abs(errs) > t) == obs_roi[:, None], axis=0)
-        for k in np.flatnonzero(agrees):
-            lo, hi = float(bounds[k]), float(bounds[k + 1])
-            if hi <= lo:
-                continue
-            if matched and lo <= matched[-1][1] + merge_tol:
-                matched[-1] = (matched[-1][0], max(matched[-1][1], hi))
-            else:
-                matched.append((lo, hi))
-
+    matched = _matching_runs(np.array([(p.lo, p.hi) for p in pieces]), e_off, e_slope,
+                             observed.as_bool(roi.member.size)[roi_idx],
+                             threshold.value, merge_tol)
     if not matched:
         raise NumericalDiagnosticError("no interval reproduces the observed mask")
     cover_tol = 1e-9 * max(1.0, abs(z_obs))
@@ -299,9 +311,7 @@ def truncated_normal_pvalue(z_obs: float, sigma_t: float,
 
 
 def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,
-                     threshold: Threshold, roi: RoiMask, noise: NoiseModel,
-                     window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-                     max_pieces: int = DEFAULT_PIECE_CAP) -> TestOutcome:
+                     threshold: Threshold, roi: RoiMask, noise: NoiseModel) -> TestOutcome:
     """Runs the detector once and computes all three p-values from its mask.
 
     An empty mask or a mask covering the whole ROI admits no contrast, so
@@ -317,9 +327,8 @@ def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,
     t_obs = test_statistic(x, eta)
     p_naive = naive_pvalue(t_obs, sigma_t)
     p_bonf = bonferroni_pvalue(p_naive, roi.count)
-    line, z_obs = line_decomposition(x, eta, noise, window_sigmas)
-    trunc = truncation_region(line, cond, weights, threshold, roi, mask,
-                              z_obs, max_pieces=max_pieces)
+    line, z_obs = line_decomposition(x, eta, noise)
+    trunc = truncation_region(line, cond, weights, threshold, roi, mask, z_obs)
     p_sel = truncated_normal_pvalue(z_obs, sigma_t, trunc)
     return TestOutcome(status=STATUS_TESTED, mask_size=len(mask), t_obs=t_obs,
                        sigma_t=sigma_t, p_naive=p_naive,

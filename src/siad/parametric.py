@@ -26,9 +26,9 @@ one recomputes every stage that depends on ``z``.  A breakpoint flips the
 pattern of one layer, so a piece costs only the stages downstream of that
 layer.
 
-Crossings closer than ``progress_tol`` to the probe are skipped so the scan
+Crossings closer than ``PROGRESS_TOL`` to the probe are skipped so the scan
 always advances; the induced value error is bounded by the layer slopes
-times ``progress_tol`` and stays far below the 1e-9 agreement tolerance the
+times ``PROGRESS_TOL`` and stays far below the 1e-9 agreement tolerance the
 tests enforce.
 
 The scan runs once per piece and pieces number in the thousands, so the
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import NumericalDiagnosticError, ShapeError
 from .model import ModelWeights, _rows, network, network_input
 
-DEFAULT_PIECE_CAP = 10 ** 6
+PIECE_CAP = 10 ** 6  # a scan with more pieces is a numerical fault
 PROGRESS_TOL = 1e-12
 
 
@@ -144,26 +144,26 @@ class _LinePlan:
                 min(crossings))
 
 
-def scan_linear_pieces(eval_fn, window, max_pieces=DEFAULT_PIECE_CAP,
-                       progress_tol=PROGRESS_TOL):
+def scan_linear_pieces(eval_fn, window):
     """Generic left-to-right scan over a piecewise-linear family.
 
     ``eval_fn(z_probe)`` must return ``(offset, slope, next_crossing)`` for
     the pattern valid at ``z_probe``.  Returns (lo, hi, offset, slope)
-    tuples covering the window without gaps or overlaps.
+    tuples covering the window without gaps or overlaps; more than
+    ``PIECE_CAP`` of them raise ``NumericalDiagnosticError``.
     """
     lo, hi = float(window[0]), float(window[1])
     pieces = []
     z_lo = lo
     while z_lo < hi:
-        if len(pieces) >= max_pieces:
+        if len(pieces) >= PIECE_CAP:
             raise NumericalDiagnosticError(
-                f"piece cap {max_pieces} exceeded while scanning [{lo}, {hi}]")
-        if hi - z_lo <= 2 * progress_tol:
+                f"piece cap {PIECE_CAP} exceeded while scanning [{lo}, {hi}]")
+        if hi - z_lo <= 2 * PROGRESS_TOL:
             off, slope, _ = eval_fn(0.5 * (z_lo + hi))
             pieces.append((z_lo, hi, off, slope))
             break
-        z_probe = z_lo + progress_tol
+        z_probe = z_lo + PROGRESS_TOL
         off, slope, crossing = eval_fn(z_probe)
         z_hi = min(crossing, hi)
         pieces.append((z_lo, z_hi, off, slope))
@@ -171,8 +171,7 @@ def scan_linear_pieces(eval_fn, window, max_pieces=DEFAULT_PIECE_CAP,
     return pieces
 
 
-def parametric_infer(line: AffineLine, cond, weights: ModelWeights,
-                     max_pieces=DEFAULT_PIECE_CAP) -> list:
+def parametric_infer(line: AffineLine, cond, weights: ModelWeights) -> list:
     """Decomposes the window into pieces with exact reconstruction coefficients.
 
     The returned pieces are sorted, share endpoints, and tile the window; on
@@ -180,5 +179,5 @@ def parametric_infer(line: AffineLine, cond, weights: ModelWeights,
     ``recon_offset + recon_slope * z``.
     """
     plan = _LinePlan(line, cond, weights)
-    raw = scan_linear_pieces(plan.evaluate, line.window, max_pieces=max_pieces)
+    raw = scan_linear_pieces(plan.evaluate, line.window)
     return [PiecewisePiece(lo, hi, off, slope) for lo, hi, off, slope in raw]

@@ -2,12 +2,14 @@
 
 import csv
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from siad import parametric
 from siad.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig,
                       _parse_value, main)
 from siad.fileio import read_noise, read_result_rows, read_threshold
@@ -137,6 +139,14 @@ class TestUsageAndErrors:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key", ["window_sigmas", "max_pieces"])
+    def test_fixed_scan_settings_are_unknown_keys(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[detect]\n{key} = 4\n")
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config key" in err and key in err
+
     def test_generate_refuses_overwrite_without_force(self, pipeline_dir, capsys):
         out, base = pipeline_dir
         assert main(["generate", *base]) == EXIT_DATA
@@ -224,6 +234,19 @@ class TestCalibrateCommand:
         # restore the known-noise calibration for the remaining tests
         assert main(["calibrate", *base]) == EXIT_OK
 
+    def test_unknown_noise_source_writes_nothing(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir[0], run)
+        for name in ("threshold.json", "noise.json"):
+            (run / name).unlink()
+        config = tmp_path / "config.ini"
+        config.write_text(TINY_CONFIG.replace("noise_source = known",
+                                              "noise_source = guessed"))
+        assert main(["calibrate", "--config", str(config), "--out", str(run)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "noise_source" in err
+        assert not (run / "threshold.json").exists() and not (run / "noise.json").exists()
+
 
 class TestTestCommand:
     def test_single_subject_outputs(self, pipeline_dir, capsys):
@@ -297,16 +320,32 @@ class TestExperiments:
         assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()
 
-    def test_piece_cap_maps_to_numerical_exit_code(self, pipeline_dir, tmp_path,
-                                                   capsys):
-        out, _ = pipeline_dir
-        config = tmp_path / "config.ini"
-        config.write_text(TINY_CONFIG.replace("quantile = 0.95",
-                                              "quantile = 0.95\nmax_pieces = 1"))
+    @pytest.mark.parametrize("name, text", [
+        ("fdr_summary.csv", "method,alpha\nnaive,0.05\n"),
+        ("fdr_summary.csv", "method,alpha,rejections,failures,degenerate_skips,proportion\n"
+                            "naive,0.05,1,2\n"),
+        ("fdr_summary.csv", "method,alpha,rejections,failures,degenerate_skips,proportion\n"
+                            "naive,0.05,1,2,0,lots\n"),
+        ("fdr_summary.csv", "method,alpha,rejections,failures,degenerate_skips,proportion\n"
+                            "guess,0.05,1,2,0,0.3\n"),
+        ("power_summary.csv", "amplitude,method,alpha,rejections,failures,"
+                              "degenerate_skips,proportion\nbig,naive,0.05,1,2,0,0.3\n"),
+        ("null_histogram.csv", "bin_lo,bin_hi,naive\n0.0,0.05,3\n"),
+        ("null_histogram.csv", "bin_lo,bin_hi,naive,selective\n0.0,0.05,3,x\n"),
+    ], ids=["fdr-two-columns", "fdr-short-row", "fdr-non-numeric", "fdr-unknown-method",
+            "power-non-numeric", "histogram-three-columns", "histogram-non-numeric"])
+    def test_report_on_malformed_summary_is_data_error(self, tmp_path, capsys, name, text):
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and name in err
+
+    def test_piece_cap_maps_to_numerical_exit_code(self, pipeline_dir, monkeypatch, capsys):
+        _, base = pipeline_dir
+        monkeypatch.setattr(parametric, "PIECE_CAP", 1)
         codes = set()
         # a planted-anomaly subject is certain to reach the parametric search
         for sid in ("diseased-0000", "diseased-0001", "diseased-0002"):
-            codes.add(main(["test", "--config", str(config), "--out", str(out),
-                            "--subject", sid]))
+            codes.add(main(["test", *base, "--subject", sid]))
         capsys.readouterr()
         assert EXIT_NUMERICAL in codes

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from siad import parametric
 from siad.anomaly import AnomalyMask, RoiMask
 from siad.errors import NumericalDiagnosticError
 from siad.inference import NoiseModel, contrast_vector, line_decomposition
@@ -130,14 +131,15 @@ class TestParametricInfer:
             assert left.hi == right.lo  # shared endpoints: no gaps, no overlaps
             assert left.lo < left.hi
 
-    def test_piece_cap_raises_diagnostic(self):
+    def test_piece_cap_raises_diagnostic(self, monkeypatch):
         arch = ArchitectureSpec(side=4, channels=(3,), latent_dim=2)
         w = init_weights(arch, 5)
         rng = np.random.default_rng(5)
         line = AffineLine(rng.normal(size=16), rng.normal(size=16), (-3.0, 3.0))
         assert len(parametric_infer(line, np.zeros(2), w)) > 1
+        monkeypatch.setattr(parametric, "PIECE_CAP", 1)
         with pytest.raises(NumericalDiagnosticError):
-            parametric_infer(line, np.zeros(2), w, max_pieces=1)
+            parametric_infer(line, np.zeros(2), w)
 
     def test_matches_reconstruct_at_observed_point(self):
         """The piece containing a specific z reproduces x(z)'s reconstruction."""
