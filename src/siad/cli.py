@@ -132,7 +132,11 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
     keys = {f.name: f for f in fields(RunConfig)}
     if config_path:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        try:
+            read = parser.read(str(config_path), encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())
+            raise DataError(f"config file {config_path} is not valid INI: {detail}") from None
         if not read:
             raise DataError(f"config file {config_path} not found")
         updates = {}
@@ -202,25 +206,26 @@ class _Paths:
 
 
 def _load_cohort(paths: _Paths):
-    """The manifest's entries, each with its image loaded under ``image``."""
+    """The manifest's entries, each with its image under ``image`` and its
+    standardized (age, time_gap) under ``cond``, plus the cohort's
+    condition ``(means, stds)``."""
     subjects = [dict(e, image=read_map(paths.out / e["path"]))
                 for e in read_cohort_manifest(paths.manifest)]
     if not subjects:
         raise DataError(f"{paths.manifest}: empty cohort")
-    return subjects
-
-
-def _standardized_conds(subjects) -> dict:
-    conds = np.array([[s["age"], s["time_gap"]] for s in subjects])
-    std, _, _ = standardize_conditions(conds)
-    return {s["id"]: std[i] for i, s in enumerate(subjects)}
+    conds, means, stds = standardize_conditions([[s["age"], s["time_gap"]]
+                                                 for s in subjects])
+    for s, cond in zip(subjects, conds):
+        s["cond"] = cond
+    return subjects, (means, stds)
 
 
 def _by_role(subjects, role):
+    """The images and conditions of the subjects with ``role``."""
     picked = [s for s in subjects if s["role"] == role]
     if not picked:
         raise DataError(f"cohort has no {role!r} subjects")
-    return picked
+    return [s["image"] for s in picked], [s["cond"] for s in picked]
 
 
 def _evaluate(cfg: RunConfig, paths: _Paths, images, conds):
@@ -257,10 +262,8 @@ def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects = _load_cohort(paths)
-    conds = _standardized_conds(subjects)
-    train_subjects = _by_role(subjects, "train")
-    dataset = [(s["image"], conds[s["id"]]) for s in train_subjects]
+    subjects, _ = _load_cohort(paths)
+    dataset = list(zip(*_by_role(subjects, "train")))
     config = TrainConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
                          patience=cfg.patience, min_delta=cfg.min_delta,
                          holdout_fraction=cfg.holdout_fraction, seed=cfg.seed)
@@ -275,19 +278,16 @@ def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects = _load_cohort(paths)
-    conds = _standardized_conds(subjects)
+    subjects, _ = _load_cohort(paths)
     weights = read_weights(paths.weights)
     roi = read_roi(paths.roi)
-    errors = []
-    for s in _by_role(subjects, "test"):
-        recon = reconstruct(s["image"], conds[s["id"]], weights)
-        errors.append(reconstruction_error(s["image"], recon))
+    errors = [reconstruction_error(x, reconstruct(x, cond, weights))
+              for x, cond in zip(*_by_role(subjects, "test"))]
     threshold = calibrate_threshold(errors, roi, cfg.quantile)
     if cfg.noise_source == "known":
         noise = NoiseModel(cfg.sigma2)
     else:
-        noise = estimate_noise([s["image"] for s in _by_role(subjects, "variance")])
+        noise = estimate_noise(_by_role(subjects, "variance")[0])
     write_threshold(paths.threshold, threshold)
     write_noise(paths.noise, noise)
     print(f"threshold {threshold.value:.6g} (q={cfg.quantile}), "
@@ -297,12 +297,11 @@ def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
 
 def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
     subject_id = args.subject
-    subjects = _load_cohort(paths)
-    conds = _standardized_conds(subjects)
+    subjects, _ = _load_cohort(paths)
     matching = [s for s in subjects if s["id"] == subject_id]
     if not matching:
         raise DataError(f"unknown subject id {subject_id!r}")
-    image, cond = matching[0]["image"], conds[subject_id]
+    image, cond = matching[0]["image"], matching[0]["cond"]
     outcome = _evaluate(cfg, paths, [image], [cond])[0]
     mask = detect(image, cond, read_weights(paths.weights),
                   read_threshold(paths.threshold), read_roi(paths.roi))
@@ -316,10 +315,10 @@ def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
     return EXIT_OK
 
 
-def _null_conditions(cfg: RunConfig, subjects, count: int):
-    """Condition rows for synthesized nulls, standardized with cohort stats."""
-    conds = np.array([[s["age"], s["time_gap"]] for s in subjects])
-    _, means, stds = standardize_conditions(conds)
+def _null_conditions(cfg: RunConfig, stats, count: int):
+    """Condition rows for synthesized nulls, standardized with the cohort's
+    ``(means, stds)``."""
+    means, stds = stats
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(cfg.seed),
                                                     np.uint64(0xA11)]))
     raw = np.column_stack([
@@ -332,10 +331,10 @@ _HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "naive", "selective"]
 
 
 def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects = _load_cohort(paths)
+    _, stats = _load_cohort(paths)
     images = gen_null_cohort(cfg.n_null, cfg.side, cfg.sigma2, cfg.seed,
                              start_index=10 ** 6)
-    conds = _null_conditions(cfg, subjects, cfg.n_null)
+    conds = _null_conditions(cfg, stats, cfg.n_null)
     outcomes = _evaluate(cfg, paths, images, conds)
     write_result_rows(paths.null_pvalues,
                       [result_row(f"null-{i:05d}", o) for i, o in enumerate(outcomes)])
@@ -371,11 +370,8 @@ _SUMMARY_KINDS = [str, float, int, int, int, float]
 
 
 def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects = _load_cohort(paths)
-    conds = _standardized_conds(subjects)
-    held_out = _by_role(subjects, "inference")
-    outcomes = _evaluate(cfg, paths, [s["image"] for s in held_out],
-                         [conds[s["id"]] for s in held_out])
+    subjects, _ = _load_cohort(paths)
+    outcomes = _evaluate(cfg, paths, *_by_role(subjects, "inference"))
     summary = rejection_summary(outcomes, cfg.alphas)
     write_rows(paths.fdr, _SUMMARY_HEADER, [_summary_row(r) for r in summary])
     for r in summary:
@@ -387,20 +383,17 @@ def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
 def cmd_experiment_power(cfg: RunConfig, paths: _Paths, args) -> int:
     """Rejection rates on the stored diseased cohort, or on fresh cohorts
     planted at each of ``--amplitudes``."""
-    subjects = _load_cohort(paths)
+    subjects, stats = _load_cohort(paths)
     if args.amplitudes:
         region = _signal_region(cfg, read_roi(paths.roi))
-        base_conds = _null_conditions(cfg, subjects, cfg.n_diseased)
+        base_conds = _null_conditions(cfg, stats, cfg.n_diseased)
         cases = [(amp, gen_diseased(cfg.n_diseased, cfg.side,
                                     SignalSpec(region=region, amplitude=amp,
                                                shape=cfg.signal_shape),
                                     cfg.sigma2, cfg.seed, start_index=2 * 10 ** 6),
                   base_conds) for amp in args.amplitudes]
     else:
-        conds = _standardized_conds(subjects)
-        diseased = _by_role(subjects, "diseased")
-        cases = [(cfg.signal_amplitude, [s["image"] for s in diseased],
-                  [conds[s["id"]] for s in diseased])]
+        cases = [(cfg.signal_amplitude, *_by_role(subjects, "diseased"))]
     rows = []
     for amp, images, amp_conds in cases:
         for r in rejection_summary(_evaluate(cfg, paths, images, amp_conds), cfg.alphas):
@@ -412,40 +405,46 @@ def cmd_experiment_power(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, paths: _Paths, args) -> int:
-    wrote = []
+    # every input is parsed before any output is written, so a malformed
+    # input leaves no fresh table behind
+    pending = []  # (write, path, payload)
     if paths.fdr.exists():
-        _table_from_summary(paths.fdr, paths.table1, skip_amplitude=False)
-        wrote.append(paths.table1)
+        pending.append((write_rows, paths.table1, _TABLE_HEADER,
+                        _table_rows(paths.fdr, with_amplitude=False)))
     if paths.power.exists():
-        _table_from_summary(paths.power, paths.table2, skip_amplitude=True)
-        wrote.append(paths.table2)
+        pending.append((write_rows, paths.table2, _TABLE_HEADER,
+                        _table_rows(paths.power, with_amplitude=True)))
     if paths.null_histogram.exists():
         rows = read_rows(paths.null_histogram, _HISTOGRAM_HEADER, [float, float, int, int])
         lines = ["# bin_center naive selective"]
         lines += [f"{0.5 * (lo + hi):.4f} {naive} {sel}" for lo, hi, naive, sel in rows]
-        paths.histogram_dat.write_text("\n".join(lines) + "\n")
-        wrote.append(paths.histogram_dat)
-    if not wrote:
+        pending.append((Path.write_text, paths.histogram_dat, "\n".join(lines) + "\n"))
+    if not pending:
         raise DataError("no experiment outputs found; run the experiments first")
-    for path in wrote:
+    for write, path, *payload in pending:
+        write(path, *payload)
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _table_from_summary(src, dst, skip_amplitude: bool):
+_TABLE_HEADER = ["method", "reject_the_null", "failed_to_reject", "fdr"]
+
+
+def _table_rows(src, with_amplitude: bool) -> list:
+    """The report table rows for the summary file ``src``."""
     header, kinds = _SUMMARY_HEADER, _SUMMARY_KINDS
-    if skip_amplitude:
+    if with_amplitude:
         header, kinds = ["amplitude"] + header, [float] + kinds
     out = []
     for row in read_rows(src, header, kinds):
-        label_extra = f" amp={row.pop(0)}" if skip_amplitude else ""
+        label_extra = f" amp={row.pop(0)}" if with_amplitude else ""
         method, alpha, rejections, failures, _, proportion = row
         label = {"naive": "Naive", "bonferroni": "Bonferroni",
                  "selective": f"SI [alpha={alpha}]"}.get(method)
         if label is None:
             raise DataError(f"{src}: unknown method {method!r}")
         out.append([label + label_extra, rejections, failures, repr(proportion)])
-    write_rows(dst, ["method", "reject_the_null", "failed_to_reject", "fdr"], out)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -525,7 +524,7 @@ def main(argv=None) -> int:
     except NumericalDiagnosticError as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SiadError, FileNotFoundError) as exc:
+    except (SiadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

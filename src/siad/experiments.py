@@ -18,6 +18,9 @@ from .errors import DataError
 from .inference import STATUS_SKIPPED, STATUS_TESTED, NoiseModel, selective_pvalue
 
 NAIVE_ALPHA = 0.05  # fixed level for the uncorrected and Bonferroni rows
+KS_COEFFICIENT = 1.63  # asymptotic KS critical value times sqrt(n) at the 1% level
+BINOMIAL_CONFIDENCE = 0.975  # one-sided confidence of binomial_upper_bound
+SIGN_TEST_LEVEL = 0.05  # level at which the paired and monotone gaps are significant
 
 _WORKER_STATE = {}  # selective_pvalue's keyword arguments, set once per worker
 
@@ -73,27 +76,20 @@ class SummaryRow:
         return self.rejections / tested if tested else 0.0
 
 
-def _count(outcomes, pick, alpha):
-    tested = [o for o in outcomes if o.status == STATUS_TESTED]
-    skips = len(outcomes) - len(tested)
-    rej = sum(1 for o in tested if pick(o) <= alpha)
-    return rej, len(tested) - rej, skips
-
-
-def rejection_summary(outcomes, alphas, naive_alpha: float = NAIVE_ALPHA):
-    """Naive and Bonferroni rows at the fixed level, selective at each level.
+def rejection_summary(outcomes, alphas):
+    """Naive and Bonferroni rows at NAIVE_ALPHA, selective at each level.
 
     Degenerate skips are excluded from the rejection denominators but
     reported so the row totals still add up to the cohort size.
     """
+    levels = [("naive", NAIVE_ALPHA), ("bonferroni", NAIVE_ALPHA)]
+    levels += [("selective", alpha) for alpha in alphas]
     rows = []
-    rej, fail, skips = _count(outcomes, lambda o: o.p_naive, naive_alpha)
-    rows.append(SummaryRow("naive", naive_alpha, rej, fail, skips))
-    rej, fail, skips = _count(outcomes, lambda o: o.p_bonferroni, naive_alpha)
-    rows.append(SummaryRow("bonferroni", naive_alpha, rej, fail, skips))
-    for alpha in alphas:
-        rej, fail, skips = _count(outcomes, lambda o: o.p_selective, alpha)
-        rows.append(SummaryRow("selective", alpha, rej, fail, skips))
+    for method, alpha in levels:
+        pvals = tested_pvalues(outcomes, method)
+        rej = int(np.sum(pvals <= alpha))
+        rows.append(SummaryRow(method, alpha, rej, len(pvals) - rej,
+                               len(outcomes) - len(pvals)))
     return rows
 
 
@@ -112,19 +108,19 @@ def histogram_counts(pvals, bins: int = 20) -> np.ndarray:
     return counts
 
 
-def ks_critical(n: int, coefficient: float = 1.63) -> float:
-    """Asymptotic KS critical value; the 1.63 coefficient is the 1% level."""
+def ks_critical(n: int) -> float:
+    """Asymptotic KS critical value at the 1% level."""
     if n < 1:
         raise DataError("need at least one sample")
-    return coefficient / np.sqrt(n)
+    return KS_COEFFICIENT / np.sqrt(n)
 
 
-def binomial_upper_bound(n: int, alpha: float, confidence: float = 0.975) -> int:
-    """Largest rejection count compatible with rate ``alpha`` at the given
-    one-sided confidence; exceeding it flags an inflated test."""
+def binomial_upper_bound(n: int, alpha: float) -> int:
+    """Largest rejection count compatible with rate ``alpha`` at one-sided
+    confidence BINOMIAL_CONFIDENCE; exceeding it flags an inflated test."""
     if n < 1:
         raise DataError("need at least one trial")
-    return int(stats.binom.ppf(confidence, n, alpha))
+    return int(stats.binom.ppf(BINOMIAL_CONFIDENCE, n, alpha))
 
 
 def sign_test_pvalue(n_plus: int, n_minus: int) -> float:
@@ -139,7 +135,7 @@ def sign_test_pvalue(n_plus: int, n_minus: int) -> float:
     return float(stats.binom.sf(n_plus - 1, n, 0.5))
 
 
-def paired_gap_significant(outcomes, alpha: float, level: float = 0.05) -> bool:
+def paired_gap_significant(outcomes, alpha: float) -> bool:
     """Is selective-rejects-but-Bonferroni-does-not significantly more common
     than the reverse at the same alpha?  Exact sign test over subjects."""
     n10 = n01 = 0
@@ -150,11 +146,10 @@ def paired_gap_significant(outcomes, alpha: float, level: float = 0.05) -> bool:
         bon = o.p_bonferroni <= alpha
         n10 += int(sel and not bon)
         n01 += int(bon and not sel)
-    return sign_test_pvalue(n10, n01) < level
+    return sign_test_pvalue(n10, n01) < SIGN_TEST_LEVEL
 
 
-def monotone_gap_significant(outcomes, alpha_lo: float, alpha_hi: float,
-                             level: float = 0.05) -> bool:
+def monotone_gap_significant(outcomes, alpha_lo: float, alpha_hi: float) -> bool:
     """Is the power increase from alpha_lo to alpha_hi significant?
 
     The selective rejections at the two levels are nested, so the gap is
@@ -162,7 +157,7 @@ def monotone_gap_significant(outcomes, alpha_lo: float, alpha_hi: float,
     whether that many one-sided gains could be chance."""
     pvals = tested_pvalues(outcomes, "selective")
     gained = int(np.sum((pvals > alpha_lo) & (pvals <= alpha_hi)))
-    return sign_test_pvalue(gained, 0) < level
+    return sign_test_pvalue(gained, 0) < SIGN_TEST_LEVEL
 
 
 def skip_count(outcomes) -> int:

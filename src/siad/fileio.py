@@ -11,14 +11,22 @@ in declaration order: encoder conv weight/bias per block, latent mean head
 weight/bias, log-variance head weight/bias, decoder dense weight/bias, then
 decoder conv weight/bias from the deepest block to the shallowest.
 
+CSV files (cohort manifests, anomaly masks with the one column
+``pixel_index``, per-subject results) are ``write_rows`` files: a header
+line, then one line per row, read back by ``read_rows``.  The threshold and
+noise files are small JSON objects.
+
 All round trips are bit-exact.  Magic mismatch, version mismatch, truncated
-payload, and malformed manifest rows raise distinct errors.
+payload (including a declared size larger than the file), and malformed
+manifest rows raise distinct errors.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,12 +43,16 @@ WEIGHTS_MAGIC = b"SIAD"
 FORMAT_VERSION = 1
 
 COHORT_MANIFEST_HEADER = ["id", "role", "path", "age", "time_gap", "truth_path"]
+MASK_HEADER = ["pixel_index"]
 RESULT_HEADER = ["id", "mask_size", "t_obs", "sigma_t", "p_naive",
                  "p_bonferroni", "p_selective", "interval_count", "status"]
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
+    """``n`` bytes from ``fh``; a size the file cannot hold is refused before
+    anything is read, so a corrupt header cannot ask for a huge buffer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
         raise TruncatedFileError(f"{path}: ended while reading {what}")
     return data
@@ -110,31 +122,10 @@ def read_weights(path) -> ModelWeights:
                                 cond_count=rest[n_blocks + 2])
         params = {}
         for name, shape in arch.layer_shapes():
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             payload = _read_exact(fh, 8 * count, path, f"layer {name}")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     return ModelWeights(arch, params)
-
-
-def write_mask_csv(path, mask: AnomalyMask):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pixel_index"])
-        for idx in mask.pixels:
-            writer.writerow([int(idx)])
-
-
-def read_mask_csv(path) -> AnomalyMask:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["pixel_index"]:
-            raise ManifestError(f"{path}: bad mask header {header}")
-        try:
-            pixels = [int(row[0]) for row in reader if row]
-        except (ValueError, IndexError) as exc:
-            raise ManifestError(f"{path}: malformed mask row") from exc
-    return AnomalyMask(np.asarray(pixels, dtype=np.int64))
 
 
 def write_rows(path, header, rows):
@@ -170,6 +161,15 @@ def read_rows(path, header, kinds=None):
     return rows
 
 
+def write_mask_csv(path, mask: AnomalyMask):
+    write_rows(path, MASK_HEADER, [[int(i)] for i in mask.pixels])
+
+
+def read_mask_csv(path) -> AnomalyMask:
+    pixels = [r[0] for r in read_rows(path, MASK_HEADER, [int])]
+    return AnomalyMask(np.asarray(pixels, dtype=np.int64))
+
+
 def write_cohort_manifest(path, entries):
     """``entries``: (id, role, path, age, time_gap, truth_path) tuples;
     ``truth_path`` is empty for subjects without a planted region."""
@@ -202,35 +202,35 @@ def result_row(subject_id: str, outcome) -> list:
             fmt(outcome.p_selective), str(outcome.interval_count), outcome.status]
 
 
+def _write_json(path, fields: dict):
+    Path(path).write_text(json.dumps(fields, indent=2) + "\n")
+
+
+def _read_json(path, what: str, build):
+    """``build`` applied to the JSON object in ``path``; any missing key or
+    unconvertible value is a DataError naming ``what``."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {what} file: {exc}") from exc
+
+
 def write_threshold(path, threshold: Threshold):
-    Path(path).write_text(json.dumps({
-        "value": threshold.value,
-        "source_quantile": threshold.source_quantile,
-        "calibration_count": threshold.calibration_count,
-    }, indent=2) + "\n")
+    _write_json(path, {"value": threshold.value,
+                       "source_quantile": threshold.source_quantile,
+                       "calibration_count": threshold.calibration_count})
 
 
 def read_threshold(path) -> Threshold:
-    try:
-        data = json.loads(Path(path).read_text())
-        return Threshold(value=float(data["value"]),
-                         source_quantile=float(data["source_quantile"]),
-                         calibration_count=int(data["calibration_count"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed threshold file: {exc}") from exc
+    return _read_json(path, "threshold", lambda d: Threshold(
+        value=float(d["value"]), source_quantile=float(d["source_quantile"]),
+        calibration_count=int(d["calibration_count"])))
 
 
 def write_noise(path, noise: NoiseModel):
-    Path(path).write_text(json.dumps({
-        "sigma2": noise.sigma2,
-        "provenance": noise.provenance,
-    }, indent=2) + "\n")
+    _write_json(path, {"sigma2": noise.sigma2, "provenance": noise.provenance})
 
 
 def read_noise(path) -> NoiseModel:
-    try:
-        data = json.loads(Path(path).read_text())
-        return NoiseModel(sigma2=float(data["sigma2"]),
-                          provenance=str(data["provenance"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed noise file: {exc}") from exc
+    return _read_json(path, "noise", lambda d: NoiseModel(
+        sigma2=float(d["sigma2"]), provenance=str(d["provenance"])))

@@ -162,15 +162,13 @@ def bonferroni_pvalue(p_naive: float, roi_size: int) -> float:
     return float(math.exp(min(0.0, math.log(p_naive) + roi_size * math.log(2.0))))
 
 
-def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel,
-                       window_sigmas: float = WINDOW_SIGMAS):
+def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel):
     """Splits the observation into the contrast coordinate and its nuisance.
 
     Returns ``(line, z_obs)`` with ``line.at(z_obs) == x`` and
     ``eta . line.at(z) == z`` for every z.  The window extends
-    ``window_sigmas`` standard deviations past the observation on both
-    sides of the origin, symmetric so each tail of the two-sided test is
-    covered.
+    WINDOW_SIGMAS standard deviations past the observation on both sides
+    of the origin, symmetric so each tail of the two-sided test is covered.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     eta = np.asarray(eta, dtype=np.float64).reshape(-1)
@@ -181,7 +179,7 @@ def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel,
     z_obs = float(eta @ x)
     direction = (noise.sigma2 * eta) / sig
     offset = x - direction * z_obs
-    half_width = abs(z_obs) + window_sigmas * sigma_t
+    half_width = abs(z_obs) + WINDOW_SIGMAS * sigma_t
     line = AffineLine(offset, direction, (-half_width, half_width))
     return line, z_obs
 

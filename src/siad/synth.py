@@ -132,14 +132,10 @@ def gen_null_cohort(count: int, side: int, sigma2: float, seed: int,
 
 def gen_diseased(count: int, side: int, signal: SignalSpec, sigma2: float,
                  seed: int, start_index: int = 0):
-    """Noise images with the planted signal added on its region."""
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
+    """Noise images from the diseased stream with the planted signal added."""
     s = signal.field(side * side).reshape(1, side, side)
-    scale = math.sqrt(sigma2)
-    return [s + scale * standard_normals(keyed_rng(seed, _TAG_DISEASED, start_index + i),
-                                         (1, side, side))
-            for i in range(count)]
+    return [s + noise for noise in gen_null_cohort(count, side, sigma2, seed,
+                                                   _TAG_DISEASED, start_index)]
 
 
 @dataclass(frozen=True)
@@ -237,24 +233,23 @@ def make_cohort(spec: CohortSpec, roi_member: np.ndarray | None = None):
 
     subjects = []
     roles = (("train", spec.n_healthy_train), ("test", spec.n_healthy_test),
-             ("inference", spec.n_inference), ("variance", spec.n_variance))
+             ("inference", spec.n_inference), ("variance", spec.n_variance),
+             ("diseased", spec.n_diseased))
     offset = 0
     for role, count in roles:
         if count == 0:
             continue
-        images = gen_null_cohort(count, spec.side, spec.sigma2, spec.seed,
-                                 start_index=offset)
+        if role == "diseased":
+            # the diseased stream has its own tag, so its indices restart at 0
+            images = gen_diseased(count, spec.side, spec.signal, spec.sigma2, spec.seed)
+            truth = spec.signal.region
+        else:
+            images = gen_null_cohort(count, spec.side, spec.sigma2, spec.seed,
+                                     start_index=offset)
+            truth = None
         for j, img in enumerate(images):
             age, gap = _conditions(spec.seed, offset + j, spec.age_range, spec.gap_range)
             subjects.append(Subject(id=f"{role}-{j:04d}", role=role, image=img,
-                                    age=age, time_gap=gap))
+                                    age=age, time_gap=gap, truth_region=truth))
         offset += count
-    if spec.n_diseased:
-        images = gen_diseased(spec.n_diseased, spec.side, spec.signal,
-                              spec.sigma2, spec.seed)
-        for j, img in enumerate(images):
-            age, gap = _conditions(spec.seed, offset + j, spec.age_range, spec.gap_range)
-            subjects.append(Subject(id=f"diseased-{j:04d}", role="diseased", image=img,
-                                    age=age, time_gap=gap,
-                                    truth_region=spec.signal.region))
     return subjects

@@ -21,6 +21,9 @@ from .model import (ArchitectureSpec, ModelWeights, _images, _rows, elbo_loss, f
                     init_weights)
 from .ops import conv2d, conv2d_backward  # noqa: F401  (perfbench/layers.py traces these names)
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moment estimates
+ADAM_EPS = 1e-8  # added to the root of the second moment, so its quotient stays finite
+
 
 def loss_and_gradients(x, cond, weights: ModelWeights, eps):
     """ELBO loss and its exact gradients for one example or a batch.
@@ -64,10 +67,9 @@ class AdamState:
                    t=0)
 
 
-def adam_step(weights: ModelWeights, grads: dict, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+def adam_step(weights: ModelWeights, grads: dict, state: AdamState, lr: float):
     """One Adam update with bias correction; returns (new_weights, new_state)."""
+    beta1, beta2 = ADAM_BETAS
     t = state.t + 1
     new_params, new_m, new_v = {}, {}, {}
     for name, p in weights.params.items():
@@ -76,7 +78,7 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState,
         v = beta2 * state.v[name] + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1 ** t)
         v_hat = v / (1.0 - beta2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name] = m
         new_v[name] = v
     return ModelWeights(weights.arch, new_params), AdamState(new_m, new_v, t)
@@ -86,9 +88,6 @@ def adam_step(weights: ModelWeights, grads: dict, state: AdamState,
 class TrainConfig:
     epochs: int = 1000
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 16
     patience: int = 20
     min_delta: float = 0.0
@@ -136,8 +135,6 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
     n_hold = min(max(1, int(round(config.holdout_fraction * n))), n - 1) if n >= 2 else 0
     hold_idx = order[:n_hold]
     train_idx = order[n_hold:]
-    if len(train_idx) == 0:
-        train_idx = order
     if n_hold == 0:
         hold_idx = order
 
@@ -163,8 +160,7 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
             loss, grads = loss_and_gradients(images[batch], conds[batch], weights, eps)
             scale = 1.0 / len(batch)
             weights, state = adam_step(weights, {k: g * scale for k, g in grads.items()},
-                                       state, config.lr, config.beta1, config.beta2,
-                                       config.adam_eps)
+                                       state, config.lr)
             epoch_losses.append(loss * scale)
 
         h_loss = mean_loss(weights, hold_idx)

@@ -147,6 +147,28 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown config key" in err and key in err
 
+    @pytest.mark.parametrize("text", [
+        "n_train = 3\n",
+        "[cohort]\nseed = 1\nseed = 2\n",
+        "[cohort]\nseed = 1\njunk line\n",
+        "[cohort]\nseed = \xff\n",
+    ], ids=["no-section-header", "duplicate-key", "junk-line", "not-utf8"])
+    def test_malformed_config_file_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "bad.ini" in err
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["report", "--out", str(taken)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "taken" in err
+
     def test_generate_refuses_overwrite_without_force(self, pipeline_dir, capsys):
         out, base = pipeline_dir
         assert main(["generate", *base]) == EXIT_DATA
@@ -339,6 +361,17 @@ class TestExperiments:
         assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and name in err
+
+    def test_failed_report_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "fdr_summary.csv").write_text(
+            "method,alpha,rejections,failures,degenerate_skips,proportion\n"
+            "naive,0.05,1,2,0,0.3333333333333333\n")
+        (tmp_path / "power_summary.csv").write_text("amplitude,method\n4.0,naive\n")
+        assert main(["report", "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "power_summary.csv" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fdr_summary.csv",
+                                                               "power_summary.csv"]
 
     def test_piece_cap_maps_to_numerical_exit_code(self, pipeline_dir, monkeypatch, capsys):
         _, base = pipeline_dir

@@ -51,6 +51,14 @@ class TestMapFormat:
         with pytest.raises(TruncatedFileError):
             read_map(path)
 
+    @pytest.mark.parametrize("side", [100_000, 2**32 - 1])
+    def test_declared_size_beyond_file_is_truncation(self, tmp_path, side):
+        # a header alone, declaring far more pixels than memory could hold
+        path = tmp_path / "map.bin"
+        path.write_bytes(b"SIIM" + struct.pack("<III", 1, side, side))
+        with pytest.raises(TruncatedFileError):
+            read_map(path)
+
 
 class TestRoiFormat:
     def test_roundtrip(self, tmp_path):
@@ -94,6 +102,16 @@ class TestWeightsFormat:
                                                           latent_dim=2), 0))
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(TruncatedFileError):
+            read_weights(path)
+
+    def test_huge_declared_channel_count_is_truncation(self, tmp_path):
+        path = tmp_path / "weights.bin"
+        write_weights(path, init_weights(ArchitectureSpec(side=4, channels=(2,),
+                                                          latent_dim=2), 0))
+        raw = bytearray(path.read_bytes())
+        raw[16:20] = struct.pack("<I", 2**32 - 1)  # the first block's channels
+        path.write_bytes(bytes(raw))
         with pytest.raises(TruncatedFileError):
             read_weights(path)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from siad.anomaly import RoiMask, Threshold, detect
 from siad.inference import (NoiseModel, _matching_runs, contrast_vector,
-                            line_decomposition, truncation_region)
+                            line_decomposition, sigma_of_contrast, truncation_region)
 from siad.model import ArchitectureSpec, init_weights, reconstruct
 from siad.parametric import AffineLine, _LinePlan, parametric_infer
 
@@ -167,7 +167,10 @@ def test_truncation_region_matches_a_dense_grid(net, blocky, rank_quarter, whole
     mask = detect(x, cond, weights, threshold, roi)
     assume(0 < len(mask) < roi.count)
     eta = contrast_vector(mask, roi)
-    line, z_obs = line_decomposition(x, eta, NoiseModel(1.0), window_sigmas=4.0)
+    line, z_obs = line_decomposition(x, eta, NoiseModel(1.0))
+    # a 4-sigma window, so the 4001-point grid below is dense enough
+    half_width = abs(z_obs) + 4.0 * sigma_of_contrast(eta, NoiseModel(1.0))
+    line = AffineLine(line.a, line.b, (-half_width, half_width))
     trunc = truncation_region(line, cond, weights, threshold, roi, mask, z_obs)
     pieces = parametric_infer(line, cond, weights)
     idx = roi.indices

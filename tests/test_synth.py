@@ -1,5 +1,7 @@
 """Determinism and distribution of the synthetic cohorts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,44 @@ class TestMakeCohort:
     def test_diseased_without_signal_rejected(self):
         with pytest.raises(DataError):
             CohortSpec(n_diseased=5, signal=None)
+
+
+def _digest(subjects) -> str:
+    """sha256 over each subject's provenance and image bytes, in order."""
+    h = hashlib.sha256()
+    for s in subjects:
+        h.update(repr((s.id, s.role, s.age, s.time_gap, s.truth_region)).encode())
+        h.update(np.ascontiguousarray(s.image, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+_PLATEAU = SignalSpec(region=(14, 15, 20, 21), amplitude=3.0)
+_RAMP = SignalSpec(region=(7, 8, 13, 14, 19), amplitude=-2.5, shape="ramp")
+
+
+class TestGoldenStreams:
+    """Digests taken before the generators were merged: a stream that moves
+    fails here, however plausible the new draws look."""
+
+    @pytest.mark.parametrize("seed,signal,digest", [
+        (0, _PLATEAU, "01a99866f2a67d45d260a75a25dff69e11a3e1c12242dd8ad58cb01a7c1109af"),
+        (11, _RAMP, "4722fd402c6e560a4ab18090e66b408252947f015baf0533c0a2ea94845f64f0"),
+        (2**40 + 3, _RAMP, "7ed62d0d59e33ad3f87050e5f18f2dad965ead8107ce2bc44098cf6ae4a273bf"),
+    ])
+    def test_make_cohort_digest(self, seed, signal, digest):
+        spec = CohortSpec(n_healthy_train=3, n_healthy_test=2, n_inference=2,
+                          n_variance=1, n_diseased=3, side=6, sigma2=1.7, seed=seed,
+                          signal=signal, age_range=(55.0, 90.0), gap_range=(0.5, 4.0))
+        assert _digest(make_cohort(spec)) == digest
+
+    @pytest.mark.parametrize("seed,signal,digest", [
+        (0, _PLATEAU, "46a57cf3a593119298af9e4495ba20961697d00f0b5ad803df753f8960fe8aac"),
+        (11, _RAMP, "91442db78a85e04aa6ef5b72c8d86c84d377d4f8b4f49dc4c10731d29e2467fb"),
+        (2**40 + 3, _RAMP, "8d03e1d866e256937fbb54276031b544a915c065d535b24d6236f7a6cb9fb8f2"),
+    ])
+    def test_gen_diseased_digest(self, seed, signal, digest):
+        images = gen_diseased(4, 6, signal, 0.6, seed, start_index=2 * 10**6)
+        h = hashlib.sha256()
+        for img in images:
+            h.update(np.ascontiguousarray(img, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
