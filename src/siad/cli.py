@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anomaly import RoiMask, calibrate_threshold, detect, reconstruction_error
+from .anomaly import RoiMask, calibrate_threshold, reconstruction_error
 from .errors import DataError, NumericalDiagnosticError, SiadError
 from .experiments import (evaluate_cohort, histogram_counts, ks_critical,
                           rejection_summary, skip_count, tested_pvalues)
@@ -31,7 +31,8 @@ from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
 from .inference import NoiseModel, estimate_noise, ks_statistic
 from .model import ArchitectureSpec, reconstruct
 from .opticalflow import standardize_conditions
-from .synth import CohortSpec, SignalSpec, gen_diseased, gen_null_cohort, make_cohort
+from .synth import (DESK_AGE_RANGE, DESK_GAP_RANGE, CohortSpec, SignalSpec, gen_diseased,
+                    gen_null_cohort, make_cohort)
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -63,39 +64,23 @@ class RunConfig:
     side: int = _key("cohort", 16)
     sigma2: float = _key("cohort", 1.0)
     seed: int = _key("cohort", 0)
-    age_min: float = _key("cohort", 60.0)
-    age_max: float = _key("cohort", 85.0)
-    gap_min: float = _key("cohort", 1.0)
-    gap_max: float = _key("cohort", 5.0)
     signal_amplitude: float = _key("cohort", 4.0)
     signal_shape: str = _key("cohort", "plateau")
     signal_size: int = _key("cohort", 3)
     channels: tuple = _key("model", (8, 16))
     latent: int = _key("model", 4)
-    kernel: int = _key("model", 3)
     epochs: int = _key("train", 30)
     lr: float = _key("train", 1e-4)
     batch_size: int = _key("train", 16)
-    patience: int = _key("train", 20)
-    min_delta: float = _key("train", 0.0)
-    holdout_fraction: float = _key("train", 0.2)
     quantile: float = _key("detect", 0.95)
     roi_fraction: float = _key("detect", 0.25)
     noise_source: str = _key("detect", "known")
     n_null: int = _key("experiment", 1000)
-    bins: int = _key("experiment", 20)
     workers: int = _key("experiment", 2)
     alphas: tuple = _key("experiment", (0.01, 0.05, 0.1))
 
     def __post_init__(self):
-        checks = [("batch_size", self.batch_size >= 1, "must be at least 1"),
-                  ("bins", self.bins >= 1, "must be at least 1"),
-                  ("age_min", self.age_min <= self.age_max,
-                   f"must not exceed age_max = {self.age_max!r}"),
-                  ("gap_min", self.gap_min <= self.gap_max,
-                   f"must not exceed gap_max = {self.gap_max!r}"),
-                  ("holdout_fraction", 0.0 <= self.holdout_fraction <= 1.0,
-                   "must lie in [0, 1]"),
+        checks = [("seed", 0 <= self.seed < 2 ** 64, "must lie in [0, 2**64)"),
                   ("noise_source", self.noise_source in ("known", "estimated"),
                    "must be known or estimated"),
                   ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)")]
@@ -157,7 +142,7 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
 
 def _arch(cfg: RunConfig) -> ArchitectureSpec:
     return ArchitectureSpec(side=cfg.side, channels=cfg.channels,
-                            latent_dim=cfg.latent, kernel_size=cfg.kernel)
+                            latent_dim=cfg.latent)
 
 
 def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
@@ -180,9 +165,7 @@ def _cohort_spec(cfg: RunConfig, roi: RoiMask) -> CohortSpec:
     return CohortSpec(n_healthy_train=cfg.n_train, n_healthy_test=cfg.n_test,
                       n_inference=cfg.n_inference, n_variance=cfg.n_variance,
                       n_diseased=cfg.n_diseased, side=cfg.side, sigma2=cfg.sigma2,
-                      seed=cfg.seed, signal=signal,
-                      age_range=(cfg.age_min, cfg.age_max),
-                      gap_range=(cfg.gap_min, cfg.gap_max))
+                      seed=cfg.seed, signal=signal)
 
 
 class _Paths:
@@ -265,8 +248,7 @@ def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects, _ = _load_cohort(paths)
     dataset = list(zip(*_by_role(subjects, "train")))
     config = TrainConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
-                         patience=cfg.patience, min_delta=cfg.min_delta,
-                         holdout_fraction=cfg.holdout_fraction, seed=cfg.seed)
+                         seed=cfg.seed)
     result = train(dataset, _arch(cfg), config)
     write_weights(paths.weights, result.weights)
     write_rows(paths.curve, ["epoch", "train_loss", "holdout_loss", "early_stop"],
@@ -303,12 +285,10 @@ def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
         raise DataError(f"unknown subject id {subject_id!r}")
     image, cond = matching[0]["image"], matching[0]["cond"]
     outcome = _evaluate(cfg, paths, [image], [cond])[0]
-    mask = detect(image, cond, read_weights(paths.weights),
-                  read_threshold(paths.threshold), read_roi(paths.roi))
     write_result_rows(paths.out / f"result_{subject_id}.csv",
                       [result_row(subject_id, outcome)])
-    write_mask_csv(paths.out / f"mask_{subject_id}.csv", mask)
-    mask_map = mask.as_bool(cfg.side * cfg.side).astype(np.float64)
+    write_mask_csv(paths.out / f"mask_{subject_id}.csv", outcome.mask)
+    mask_map = outcome.mask.as_bool(cfg.side * cfg.side).astype(np.float64)
     write_map(paths.out / f"mask_{subject_id}.bin", mask_map.reshape(cfg.side, cfg.side))
     print(f"{subject_id}: status={outcome.status} mask={outcome.mask_size} "
           f"p_naive={outcome.p_naive} p_selective={outcome.p_selective}")
@@ -322,8 +302,8 @@ def _null_conditions(cfg: RunConfig, stats, count: int):
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(cfg.seed),
                                                     np.uint64(0xA11)]))
     raw = np.column_stack([
-        rng.uniform(cfg.age_min, cfg.age_max, size=count),
-        rng.uniform(cfg.gap_min, cfg.gap_max, size=count)])
+        rng.uniform(*DESK_AGE_RANGE, size=count),
+        rng.uniform(*DESK_GAP_RANGE, size=count)])
     return (raw - means) / stds
 
 
@@ -343,15 +323,16 @@ def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
     hist = {}
     for method in ("naive", "selective"):
         pvals = tested_pvalues(outcomes, method)
-        hist[method] = histogram_counts(pvals, cfg.bins)
+        hist[method] = histogram_counts(pvals)
         ks = ks_statistic(pvals)
         crit = ks_critical(len(pvals))
         rows.append([method, len(pvals), repr(float(ks)), repr(float(crit)),
                      int(ks < crit)])
+    bins = len(hist["naive"])
     write_rows(paths.null_histogram, _HISTOGRAM_HEADER,
-               [[repr(i / cfg.bins), repr((i + 1) / cfg.bins),
+               [[repr(i / bins), repr((i + 1) / bins),
                  int(hist["naive"][i]), int(hist["selective"][i])]
-                for i in range(cfg.bins)])
+                for i in range(bins)])
     write_rows(paths.null_ks, ["method", "n_tested", "ks", "critical_1pct", "pass"],
                rows)
     print(f"null experiment: {rows[1][1]} tested, selective ks={rows[1][2]} "

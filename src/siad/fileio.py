@@ -130,7 +130,7 @@ def read_weights(path) -> ModelWeights:
 
 def write_rows(path, header, rows):
     """A CSV file: ``header``, then one line per row."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -139,25 +139,28 @@ def write_rows(path, header, rows):
 def read_rows(path, header, kinds=None):
     """The rows of a CSV file written by ``write_rows`` with ``header``, each
     field converted by its column's entry of ``kinds`` (default: kept as
-    text).  A different header, a row of another length or a field that
-    does not convert is a ManifestError."""
+    text).  A different header, a row of another length, a field that does
+    not convert or a file that is not UTF-8 is a ManifestError."""
     kinds = kinds or [str] * len(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise ManifestError(f"{path}: expected header {header}, found {got}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ManifestError(f"{path}:{lineno}: expected {len(header)} fields, "
-                                    f"found {len(row)}")
-            try:
-                rows.append([kind(v) for kind, v in zip(kinds, row)])
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed field: {exc}") from None
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            lines = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}: not UTF-8 text: {exc}") from None
+    got = lines[0] if lines else None
+    if got != header:
+        raise ManifestError(f"{path}: expected header {header}, found {got}")
+    rows = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ManifestError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                f"found {len(row)}")
+        try:
+            rows.append([kind(v) for kind, v in zip(kinds, row)])
+        except ValueError as exc:
+            raise ManifestError(f"{path}:{lineno}: malformed field: {exc}") from None
     return rows
 
 

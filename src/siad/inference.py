@@ -76,10 +76,11 @@ class TruncationSet:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Everything the harness records for one subject."""
+    """Everything the harness records for one subject, with the detector's
+    mask that the contrast was taken over."""
 
     status: str
-    mask_size: int
+    mask: AnomalyMask
     t_obs: float | None = None
     sigma_t: float | None = None
     p_naive: float | None = None
@@ -90,6 +91,10 @@ class TestOutcome:
     @property
     def tested(self) -> bool:
         return self.status == STATUS_TESTED
+
+    @property
+    def mask_size(self) -> int:
+        return len(self.mask)
 
     @property
     def interval_count(self) -> int:
@@ -176,7 +181,7 @@ def line_decomposition(x: np.ndarray, eta: np.ndarray, noise: NoiseModel):
     if sig <= 0:
         raise DataError("degenerate contrast: zero variance")
     sigma_t = math.sqrt(sig)
-    z_obs = float(eta @ x)
+    z_obs = test_statistic(x, eta)
     direction = (noise.sigma2 * eta) / sig
     offset = x - direction * z_obs
     half_width = abs(z_obs) + WINDOW_SIGMAS * sigma_t
@@ -241,11 +246,11 @@ def truncation_region(line: AffineLine, cond, weights: ModelWeights,
                              threshold.value, merge_tol)
     if not matched:
         raise NumericalDiagnosticError("no interval reproduces the observed mask")
-    cover_tol = 1e-9 * max(1.0, abs(z_obs))
-    if not any(lo - cover_tol <= z_obs <= hi + cover_tol for lo, hi in matched):
+    trunc = TruncationSet(tuple(matched))
+    if not trunc.contains(z_obs, 1e-9 * max(1.0, abs(z_obs))):
         raise NumericalDiagnosticError(
             f"observation z={z_obs} not covered by its truncation set")
-    return TruncationSet(tuple(matched))
+    return trunc
 
 
 def _log_right_tail_mass(lo: float, hi: float) -> float:
@@ -318,17 +323,16 @@ def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     mask = detect(x, cond, weights, threshold, roi)
     if len(mask) == 0 or len(mask) == roi.count:
-        return TestOutcome(status=STATUS_SKIPPED, mask_size=len(mask))
+        return TestOutcome(status=STATUS_SKIPPED, mask=mask)
 
     eta = contrast_vector(mask, roi)
     sigma_t = sigma_of_contrast(eta, noise)
-    t_obs = test_statistic(x, eta)
+    line, t_obs = line_decomposition(x, eta, noise)
     p_naive = naive_pvalue(t_obs, sigma_t)
     p_bonf = bonferroni_pvalue(p_naive, roi.count)
-    line, z_obs = line_decomposition(x, eta, noise)
-    trunc = truncation_region(line, cond, weights, threshold, roi, mask, z_obs)
-    p_sel = truncated_normal_pvalue(z_obs, sigma_t, trunc)
-    return TestOutcome(status=STATUS_TESTED, mask_size=len(mask), t_obs=t_obs,
+    trunc = truncation_region(line, cond, weights, threshold, roi, mask, t_obs)
+    p_sel = truncated_normal_pvalue(t_obs, sigma_t, trunc)
+    return TestOutcome(status=STATUS_TESTED, mask=mask, t_obs=t_obs,
                        sigma_t=sigma_t, p_naive=p_naive,
                        p_bonferroni=p_bonf, p_selective=p_sel, truncation=trunc)
 

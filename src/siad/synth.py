@@ -24,6 +24,7 @@ _TAG_DISEASED = 2
 _TAG_PAIRS = 3
 _TAG_CONDITIONS = 4
 
+# every synthetic subject's age and scan gap, in years, is uniform over these
 DESK_AGE_RANGE = (60.0, 85.0)
 DESK_GAP_RANGE = (1.0, 5.0)
 
@@ -93,8 +94,6 @@ class CohortSpec:
     sigma2: float = 1.0
     seed: int = 0
     signal: SignalSpec | None = None
-    age_range: tuple = DESK_AGE_RANGE
-    gap_range: tuple = DESK_GAP_RANGE
 
     def __post_init__(self):
         for name in ("n_healthy_train", "n_healthy_test", "n_inference",
@@ -215,9 +214,9 @@ def gen_image_pairs(count: int, side: int, motion: MotionSpec, seed: int,
     return out
 
 
-def _conditions(seed: int, tag_index: int, age_range, gap_range):
+def _conditions(seed: int, tag_index: int):
     rng = keyed_rng(seed, _TAG_CONDITIONS, tag_index)
-    return float(rng.uniform(*age_range)), float(rng.uniform(*gap_range))
+    return float(rng.uniform(*DESK_AGE_RANGE)), float(rng.uniform(*DESK_GAP_RANGE))
 
 
 def make_cohort(spec: CohortSpec, roi_member: np.ndarray | None = None):
@@ -248,7 +247,7 @@ def make_cohort(spec: CohortSpec, roi_member: np.ndarray | None = None):
                                      start_index=offset)
             truth = None
         for j, img in enumerate(images):
-            age, gap = _conditions(spec.seed, offset + j, spec.age_range, spec.gap_range)
+            age, gap = _conditions(spec.seed, offset + j)
             subjects.append(Subject(id=f"{role}-{j:04d}", role=role, image=img,
                                     age=age, time_gap=gap, truth_region=truth))
         offset += count

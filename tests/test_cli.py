@@ -41,7 +41,6 @@ noise_source = known
 [experiment]
 n_null = 10
 workers = 1
-bins = 20
 """
 
 
@@ -103,12 +102,9 @@ class TestUsageAndErrors:
     @pytest.mark.parametrize("command,old,new", [
         ("train", "batch_size = 6", "batch_size = 0"),
         ("train", "batch_size = 6", "batch_size = -4"),
-        ("experiment-null", "bins = 20", "bins = 0"),
-        ("generate", "seed = 5", "seed = 5\nage_min = 90"),
-        ("generate", "seed = 5", "seed = 5\ngap_min = 6"),
-        ("train", "batch_size = 6", "batch_size = 6\nholdout_fraction = nan"),
-    ], ids=["batch_size-0", "batch_size-neg", "bins-0", "age_min-above-age_max",
-            "gap_min-above-gap_max", "holdout_fraction-nan"])
+        ("generate", "seed = 5", "seed = -1"),
+        ("generate", "seed = 5", f"seed = {2 ** 64}"),
+    ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64"])
     def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                  command, old, new):
         out = tmp_path / "run" if command == "generate" else pipeline_dir[0]
@@ -139,13 +135,41 @@ class TestUsageAndErrors:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
         capsys.readouterr()
 
-    @pytest.mark.parametrize("key", ["window_sigmas", "max_pieces"])
-    def test_fixed_scan_settings_are_unknown_keys(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("section,key", [
+        pytest.param(section, key, id=key) for section, key in [
+            ("detect", "window_sigmas"), ("detect", "max_pieces"),
+            ("cohort", "age_min"), ("cohort", "age_max"), ("cohort", "gap_min"),
+            ("cohort", "gap_max"), ("model", "kernel"), ("train", "patience"),
+            ("train", "min_delta"), ("train", "holdout_fraction"),
+            ("experiment", "bins")]])
+    def test_fixed_scan_settings_are_unknown_keys(self, tmp_path, capsys, section, key):
+        """Settings with one value in use are constants, not config keys."""
         bad = tmp_path / "bad.ini"
-        bad.write_text(f"[detect]\n{key} = 4\n")
-        assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
+        bad.write_text(f"[{section}]\n{key} = 4\n")
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown config key" in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_flag_outside_uint64_writes_nothing(self, tmp_path, capsys, seed):
+        out = tmp_path / "run"
+        assert main(["generate", "--seed", seed, "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "seed" in err
+        assert not out.exists()
+
+    def test_non_utf8_manifest_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        out, _ = pipeline_dir
+        run = tmp_path / "run"
+        run.mkdir()
+        manifest = (out / "manifest.csv").read_bytes().splitlines(keepends=True)
+        (run / "manifest.csv").write_bytes(manifest[0] + b"\xff" + manifest[1])
+        assert main(["train", "--out", str(run)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "manifest.csv" in err
+        assert "Traceback" not in err and sorted(p.name for p in run.iterdir()) == ["manifest.csv"]
 
     @pytest.mark.parametrize("text", [
         "n_train = 3\n",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siad.anomaly import RoiMask, Threshold
+from siad.anomaly import AnomalyMask, RoiMask, Threshold
 from siad.experiments import (binomial_upper_bound, evaluate_cohort,
                               histogram_counts, ks_critical,
                               monotone_gap_significant, paired_gap_significant,
@@ -19,9 +19,9 @@ ARCH = ArchitectureSpec(side=8, channels=(4,), latent_dim=2)
 
 def _outcome(p_naive=None, p_bonf=None, p_sel=None):
     if p_naive is None:
-        return Outcome(status=STATUS_SKIPPED, mask_size=0)
-    return Outcome(status=STATUS_TESTED, mask_size=3, t_obs=1.0, sigma_t=1.0,
-                       p_naive=p_naive, p_bonferroni=p_bonf, p_selective=p_sel)
+        return Outcome(status=STATUS_SKIPPED, mask=AnomalyMask([]))
+    return Outcome(status=STATUS_TESTED, mask=AnomalyMask([1, 2, 3]), t_obs=1.0, sigma_t=1.0,
+                   p_naive=p_naive, p_bonferroni=p_bonf, p_selective=p_sel)
 
 
 class TestEvaluateCohort:

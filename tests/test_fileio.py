@@ -160,6 +160,12 @@ class TestManifests:
         with pytest.raises(ManifestError):
             read_cohort_manifest(path)
 
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"id,role,path,age,time_gap,truth_path\n\xffx,train,p.bin,70,2.0,\n")
+        with pytest.raises(ManifestError, match="manifest.csv"):
+            read_cohort_manifest(path)
+
 
 class TestCalibrationArtifacts:
     def test_threshold_roundtrip(self, tmp_path):

@@ -319,6 +319,19 @@ class TestSelectivePvalue:
         assert out.status == STATUS_SKIPPED
         assert out.p_naive is None and out.p_selective is None
 
+    @pytest.mark.parametrize("value,status", [(1.0, STATUS_TESTED), (50.0, STATUS_SKIPPED)])
+    def test_outcome_carries_the_detected_mask(self, value, status):
+        w = init_weights(self.ARCH, 11)
+        roi = RoiMask.centered_square(8)
+        thr = Threshold(value=value, source_quantile=0.95, calibration_count=10)
+        x, cond = gen_null_cohort(1, 8, 1.0, seed=12)[0], np.array([0.3, -0.2])
+        out = selective_pvalue(x, cond, w, thr, roi, NoiseModel(1.0))
+        assert out.status == status
+        assert out.mask == detect(x, cond, w, thr, roi)
+        assert out.mask_size == len(out.mask)
+        if status == STATUS_TESTED:
+            assert out.t_obs == contrast_statistic(x, contrast_vector(out.mask, roi))
+
     def test_pvalues_lie_in_unit_interval_and_bonferroni_dominates(self):
         w = init_weights(self.ARCH, 11)
         roi = RoiMask.centered_square(8)

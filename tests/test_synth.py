@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from siad import synth
 from siad.errors import DataError
 from siad.opticalflow import divergence, horn_schunck
 from siad.synth import (CohortSpec, MotionSpec, SignalSpec, gen_diseased,
@@ -171,10 +172,13 @@ class TestGoldenStreams:
         (11, _RAMP, "4722fd402c6e560a4ab18090e66b408252947f015baf0533c0a2ea94845f64f0"),
         (2**40 + 3, _RAMP, "7ed62d0d59e33ad3f87050e5f18f2dad965ead8107ce2bc44098cf6ae4a273bf"),
     ])
-    def test_make_cohort_digest(self, seed, signal, digest):
+    def test_make_cohort_digest(self, monkeypatch, seed, signal, digest):
+        # the digests were taken with these ranges, not the desk ones
+        monkeypatch.setattr(synth, "DESK_AGE_RANGE", (55.0, 90.0))
+        monkeypatch.setattr(synth, "DESK_GAP_RANGE", (0.5, 4.0))
         spec = CohortSpec(n_healthy_train=3, n_healthy_test=2, n_inference=2,
                           n_variance=1, n_diseased=3, side=6, sigma2=1.7, seed=seed,
-                          signal=signal, age_range=(55.0, 90.0), gap_range=(0.5, 4.0))
+                          signal=signal)
         assert _digest(make_cohort(spec)) == digest
 
     @pytest.mark.parametrize("seed,signal,digest", [
