@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .anomaly import RoiMask, calibrate_threshold, reconstruction_error
-from .errors import DataError, NumericalDiagnosticError, SiadError
+from .errors import DataError, NumericalDiagnosticError, ShapeError, SiadError
 from .experiments import (evaluate_cohort, histogram_counts, ks_critical,
                           rejection_summary, skip_count, tested_pvalues)
 from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
@@ -87,6 +87,15 @@ class RunConfig:
         for name, ok, rule in checks:
             if not ok:
                 raise DataError(f"config value {name} = {getattr(self, name)!r}: {rule}")
+        try:
+            self.arch  # the architecture's own checks, before any file is written
+        except ShapeError as exc:
+            raise DataError(f"config values side, channels, latent: {exc}") from None
+
+    @property
+    def arch(self) -> ArchitectureSpec:
+        return ArchitectureSpec(side=self.side, channels=self.channels,
+                                latent_dim=self.latent)
 
 
 PRESETS = {
@@ -138,11 +147,6 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
     if clean:
         cfg = replace(cfg, **clean)
     return cfg
-
-
-def _arch(cfg: RunConfig) -> ArchitectureSpec:
-    return ArchitectureSpec(side=cfg.side, channels=cfg.channels,
-                            latent_dim=cfg.latent)
 
 
 def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
@@ -249,7 +253,7 @@ def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
     dataset = list(zip(*_by_role(subjects, "train")))
     config = TrainConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
                          seed=cfg.seed)
-    result = train(dataset, _arch(cfg), config)
+    result = train(dataset, cfg.arch, config)
     write_weights(paths.weights, result.weights)
     write_rows(paths.curve, ["epoch", "train_loss", "holdout_loss", "early_stop"],
                [[r.epoch, repr(r.train_loss), repr(r.holdout_loss), int(r.early_stopped)]

@@ -46,6 +46,8 @@ class ArchitectureSpec:
         blocks = len(self.channels)
         if blocks < 1:
             raise ShapeError("need at least one block")
+        if min(self.channels) < 1:
+            raise ShapeError(f"channel counts must be >= 1, got {self.channels}")
         if self.side % (2 ** blocks) != 0:
             raise ShapeError(f"side {self.side} not divisible by 2^{blocks}")
         if self.latent_dim < 1:

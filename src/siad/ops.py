@@ -21,10 +21,27 @@ pattern is chosen:
   linear layer).  Biases and conditions enter the offset row only.
 
 A layer is built from its place in the architecture (names and sizes, which
-give its weight ``shapes``) and then bound to weights with ``bind``.  A
-convolution is one contiguous GEMM of the zero-padded input against the
-kernel, laid out at ``bind`` as a (C_in, k*k*C_out) matrix, followed by
-shifted adds of the product planes; no im2col gather is needed.
+give its weight ``shapes``) and then bound to weights with ``bind``, which
+lays each kernel out once as (C_in, k, k, C_out).  A "same" convolution is
+the sum over kernel offsets s of shift_s(x) @ K_s, computed as one GEMM
+along its narrower channel side:
+
+* with fewer input than output channels, the k*k windows of the padded
+  input are gathered (a strided view and one copy) and multiplied by the
+  kernel as a (C_in*k*k, C_out) matrix;
+* otherwise the padded input is multiplied by the kernel as a
+  (C_in, k*k*C_out) matrix, and the k*k product planes are added, each
+  shifted by its offset.
+
+The input gradient is the convolution of the output gradient with the
+kernel rotated 180 degrees and its channel axes swapped, so the same rule
+picks its factoring; the kernel gradient multiplies the input against the
+windows of whichever side is narrower.  The decoder's `UpConv` never builds
+its upsample + skip concatenation: its output is the convolution of the
+skip half (with the bias) plus that of the up half, which is one GEMM at
+the input's resolution whose product planes are upsampled into the padded
+grid before the shifted sum.  Along a line, the skip half's output is
+reused for as long as the skip relu's output is the same array.
 """
 
 from __future__ import annotations
@@ -43,50 +60,98 @@ class Layer:
         head, the condition rows and latent draws of the pass)."""
 
 
+def _pad(x, p):
+    """``x`` zero-padded by ``p`` pixels on each side of both image axes."""
+    b, h, w, c = x.shape
+    padded = np.zeros((b, h + 2 * p, w + 2 * p, c))
+    padded[:, p:p + h, p:p + w] = x
+    return padded
+
+
+def _view(arr, shape, strides, offset=0):
+    """A strided view of the contiguous array ``arr``."""
+    return np.ndarray(shape, arr.dtype, arr, offset, strides)
+
+
+def _taps(padded, k, h, w, step=1):
+    """The k x k window at each of h x w positions ``step`` pixels apart in
+    each image of ``padded`` (contiguous), one row per position:
+    (B*h*w, C*k*k), ordered by channel, row offset, then column offset."""
+    b, c = len(padded), padded.shape[3]
+    sb, sh, sw, sc = padded.strides
+    windows = _view(padded, (b, h, w, c, k, k), (sb, step * sh, step * sw, sc, sh, sw))
+    return windows.reshape(b * h * w, c * k * k)
+
+
+def _shift_sum(planes, out):
+    """Adds each kernel offset's product plane, shifted by that offset, into
+    ``out`` (B, H, W, C_out); ``planes`` is (B, H+k-1, W+k-1, k*k*C_out)."""
+    _, h, w, c_out = out.shape
+    k = planes.shape[1] - h + 1
+    for di in range(k):
+        for dj in range(k):
+            s = (di * k + dj) * c_out
+            out += planes[:, di:di + h, dj:dj + w, s:s + c_out]
+    return out
+
+
+def _flip(kmat):
+    """The adjoint's kernel: rotated 180 degrees, channel axes swapped."""
+    return np.ascontiguousarray(kmat[:, ::-1, ::-1].transpose(3, 1, 2, 0))
+
+
 def conv2d(x, kmat, bias, biased):
     """Zero-padded "same" convolution (cross-correlation) of a batch.
 
     ``kmat`` is the kernel laid out (C_in, k, k, C_out); only the first
-    ``biased`` rows of the batch get ``bias``.  Returns the output and the
-    padded input.
+    ``biased`` rows of the batch get ``bias``.  The GEMM runs along the
+    narrower channel side: with fewer input than output channels, one GEMM
+    of the gathered k*k windows; otherwise one GEMM of the padded input
+    against all k*k kernel offsets, whose product planes are summed shifted.
     """
     b, h, w, c_in = x.shape
     k, c_out = kmat.shape[1], kmat.shape[3]
-    pad = k // 2
-    padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c_in))
-    padded[:, pad:pad + h, pad:pad + w, :] = x
-    prod = (padded.reshape(-1, c_in) @ kmat.reshape(c_in, -1)).reshape(
-        b, h + 2 * pad, w + 2 * pad, k * k, c_out)
+    padded = _pad(x, k // 2)
+    if c_in < c_out:
+        out = (_taps(padded, k, h, w) @ kmat.reshape(-1, c_out)).reshape(b, h, w, c_out)
+        out[:biased] += bias
+        return out
+    planes = padded.reshape(-1, c_in) @ kmat.reshape(c_in, -1)
     out = np.zeros((b, h, w, c_out))
     out[:biased] = bias
-    for di in range(k):
-        for dj in range(k):
-            out += prod[:, di:di + h, dj:dj + w, di * k + dj, :]
-    return out, padded
+    return _shift_sum(planes.reshape(padded.shape[:3] + (-1,)), out)
 
 
-def conv2d_backward(grad, padded, kmat):
-    """Adjoint of `conv2d`: (grad wrt input, grad wrt kmat, grad wrt bias).
+def _grads_from_taps(grad_taps, x, kmat):
+    """(grad wrt input, grad wrt kernel) of a convolution of ``x``, given
+    the k*k windows of its padded output gradient as `_taps` rows.
 
-    One GEMM per kernel offset for each of the two gradients, so no
-    temporary is larger than the input.
+    The input gradient is the convolution of the output gradient with the
+    flipped kernel, and the kernel gradient is the input against those same
+    windows, read with the offsets reversed.
+    """
+    c_in, k, _, c_out = kmat.shape
+    grad_x = (grad_taps @ _flip(kmat).reshape(-1, c_in)).reshape(x.shape)
+    flipped = (x.reshape(-1, c_in).T @ grad_taps).reshape(c_in, c_out, k, k)
+    return grad_x, flipped[:, :, ::-1, ::-1].transpose(0, 2, 3, 1)
+
+
+def conv2d_backward(grad, x, kmat):
+    """Adjoint of `conv2d` on input ``x``: (grad wrt x, grad wrt kernel,
+    grad wrt bias).
+
+    The input gradient is ``conv2d`` of ``grad`` with the flipped kernel.
+    The kernel gradient gathers the windows of whichever side has fewer
+    channels; the output gradient's windows also serve the input gradient.
     """
     b, h, w, c_out = grad.shape
     c_in, k = kmat.shape[:2]
-    blocks = kmat.reshape(c_in, k * k, c_out)
-    g2 = grad.reshape(-1, c_out)
-    grad_padded = np.zeros_like(padded)
-    grad_kmat = np.empty_like(blocks)
-    for di in range(k):
-        for dj in range(k):
-            s = di * k + dj
-            window = padded[:, di:di + h, dj:dj + w, :]
-            grad_kmat[:, s, :] = window.reshape(-1, c_in).T @ g2
-            grad_padded[:, di:di + h, dj:dj + w, :] += (g2 @ blocks[:, s, :].T).reshape(
-                b, h, w, c_in)
-    pad = k // 2
-    return (grad_padded[:, pad:pad + h, pad:pad + w, :],
-            grad_kmat.reshape(kmat.shape), grad.sum(axis=(0, 1, 2)))
+    if c_in < c_out:
+        grad_kmat = _taps(_pad(x, k // 2), k, h, w).T @ grad.reshape(-1, c_out)
+        grad_x = conv2d(grad, _flip(kmat), 0.0, 0)
+    else:
+        grad_x, grad_kmat = _grads_from_taps(_taps(_pad(grad, k // 2), k, h, w), x, kmat)
+    return grad_x, grad_kmat.reshape(kmat.shape), grad.sum(axis=(0, 1, 2))
 
 
 class Conv(Layer):
@@ -100,18 +165,21 @@ class Conv(Layer):
         self.kmat = np.ascontiguousarray(params[w_name].transpose(1, 2, 3, 0))
         self.bias = params[b_name]
 
-    def forward(self, x):
-        out, self.padded = conv2d(x, self.kmat, self.bias, len(x))
-        return out
-
-    def backward(self, grad):
-        grad_x, grad_kmat, grad_bias = conv2d_backward(grad, self.padded, self.kmat)
+    def _set_grads(self, grad_kmat, grad_bias):
         (w_name, _), (b_name, _) = self.shapes
         self.grads = {w_name: grad_kmat.transpose(3, 0, 1, 2), b_name: grad_bias}
+
+    def forward(self, x):
+        self.x = x
+        return conv2d(x, self.kmat, self.bias, len(x))
+
+    def backward(self, grad):
+        grad_x, grad_kmat, grad_bias = conv2d_backward(grad, self.x, self.kmat)
+        self._set_grads(grad_kmat, grad_bias)
         return grad_x
 
     def affine(self, pair, z_probe):
-        return conv2d(pair, self.kmat, self.bias, 1)[0], np.inf
+        return conv2d(pair, self.kmat, self.bias, 1), np.inf
 
 
 def _next_crossing(zc, z_probe):
@@ -273,26 +341,62 @@ class LatentHead(Layer):
 
 
 class UpConv(Conv):
-    """Nearest 2x upsampling, concatenation with the output of the encoder
-    relu ``skip``, then a convolution."""
+    """Nearest 2x upsampling of the input, concatenation with the output of
+    the encoder relu ``skip`` (the two halves are equally wide), then a
+    convolution.
+
+    The concatenation is never built: the output is the convolution of the
+    skip (with the bias) plus that of the upsampled input.  Upsampling
+    commutes with the per-pixel GEMM, so the second is one GEMM at the input's
+    resolution whose product planes are upsampled into the padded grid
+    before the shifted sum.  Along a line, the skip half's output is reused
+    for as long as ``skip.out`` is the same array.
+    """
 
     def __init__(self, name, c_in, c_out, k, skip: Relu):
         super().__init__(name, c_in, c_out, k)
         self.skip = skip
+        self.c_up = c_in // 2
 
-    def _cat(self, x):
-        up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-        return np.concatenate([up, self.skip.out], axis=3)
+    def bind(self, params, cond=None, eps=None):
+        super().bind(params, cond, eps)
+        self.up_kmat, self.skip_kmat = self.kmat[:self.c_up], self.kmat[self.c_up:]
+        self.skip_in = self.skip_conv = None
+
+    def _add_up(self, x, out):
+        """``out`` plus the convolution of the upsampled ``x``."""
+        b, h, w, _ = x.shape
+        p = self.kmat.shape[1] // 2
+        prod = x.reshape(-1, self.c_up) @ self.up_kmat.reshape(self.c_up, -1)
+        n = prod.shape[1]
+        planes = np.zeros((b, 2 * h + 2 * p, 2 * w + 2 * p, n))
+        sb, sh, sw, sn = planes.strides
+        up = _view(planes, (b, h, 2, w, 2, n), (sb, 2 * sh, sh, 2 * sw, sw, sn),
+                   p * (sh + sw))
+        up[...] = prod.reshape(b, h, 1, w, 1, n)
+        return _shift_sum(planes, out)
 
     def forward(self, x):
-        return super().forward(self._cat(x))
+        self.x = x
+        return self._add_up(x, conv2d(self.skip.out, self.skip_kmat, self.bias, len(x)))
 
     def backward(self, grad):
-        d_cat = super().backward(grad)
-        c_up = d_cat.shape[3] - self.skip.out.shape[3]
-        self.skip.skip_grad = d_cat[..., c_up:]
-        b, h, w, _ = d_cat.shape
-        return d_cat[..., :c_up].reshape(b, h // 2, 2, w // 2, 2, c_up).sum(axis=(2, 4))
+        """The skip half's gradient is left in ``skip.skip_grad``.  The up
+        half's windows of the padded output gradient are 2x2 box sums read
+        at every other pixel: the adjoint of nearest upsampling."""
+        self.skip.skip_grad, grad_skip, grad_bias = conv2d_backward(
+            grad, self.skip.out, self.skip_kmat)
+        _, h, w, _ = self.x.shape
+        k = self.kmat.shape[1]
+        g = _pad(grad, k // 2)
+        box = g[:, :-1, :-1] + g[:, 1:, :-1] + g[:, :-1, 1:] + g[:, 1:, 1:]
+        grad_x, grad_up = _grads_from_taps(_taps(box, k, h, w, step=2), self.x,
+                                           self.up_kmat)
+        self._set_grads(np.concatenate([grad_up, grad_skip]), grad_bias)
+        return grad_x
 
     def affine(self, pair, z_probe):
-        return super().affine(self._cat(pair), z_probe)
+        if self.skip.out is not self.skip_in:
+            self.skip_in = self.skip.out
+            self.skip_conv = conv2d(self.skip_in, self.skip_kmat, self.bias, 1)
+        return self._add_up(pair, self.skip_conv.copy()), np.inf

@@ -11,7 +11,7 @@ That crossing ends the piece and starts the next one.
 
 The stages of the forward pass are the model's layer list (each conv, relu
 and maxpool of the encoder, the latent head, the dense relu, each decoder
-upsample+concat+conv and each decoder relu), run by their ``affine``
+upsample + skip + conv and each decoder relu), run by their ``affine``
 method, and the plan for a line keeps every stage's output and crossing
 from the previous probe.  A stage's output depends only on its inputs and
 on the pattern it fixes at the probe, and that pattern is the same at every
@@ -34,9 +34,12 @@ tests enforce.
 The scan runs once per piece and pieces number in the thousands, so the
 layers keep numpy call overhead low: offset and slope planes travel
 together as a batch of two rows in the layers' channels-last layout, and
-each convolution is one contiguous GEMM against a kernel matrix laid out
-once per line (when the plan binds the layers), followed by shifted adds of
-the product planes.
+each convolution is one GEMM along its narrower channel side (gathered
+windows, or product planes and shifted adds) against a kernel laid out
+once per line, when the plan binds the layers.  A decoder conv adds the
+convolution of its skip half, which it keeps for as long as the encoder
+relu it reads is not recomputed, to one GEMM of its upsampled half at the
+lower resolution.
 """
 
 from __future__ import annotations

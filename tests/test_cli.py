@@ -152,6 +152,16 @@ class TestUsageAndErrors:
         assert err.count("\n") == 1 and "unknown config key" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("channels", ["0", "8, 0", "-1, 4"])
+    def test_channel_count_below_one_writes_nothing(self, tmp_path, capsys, channels):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_CONFIG.replace("channels = 4", f"channels = {channels}"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "channels" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_flag_outside_uint64_writes_nothing(self, tmp_path, capsys, seed):
         out = tmp_path / "run"

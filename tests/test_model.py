@@ -25,6 +25,11 @@ class TestArchitectureSpec:
         with pytest.raises(ShapeError):
             ArchitectureSpec(side=8, channels=(4,), kernel_size=4)
 
+    @pytest.mark.parametrize("channels", [(0,), (8, 0), (-1, 4)])
+    def test_channel_counts_below_one_rejected(self, channels):
+        with pytest.raises(ShapeError, match="channel counts"):
+            ArchitectureSpec(side=8, channels=channels)
+
     def test_layer_shapes_compose(self):
         shapes = dict(ARCH.layer_shapes())
         assert shapes["enc0_w"] == (3, 3, 3, 3)  # 1 image + 2 cond channels in

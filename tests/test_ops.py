@@ -1,12 +1,17 @@
 """Layer contracts: convolution, relu, pooling, upsampling, on batches laid
 out channels-last (B, H, W, C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from siad.errors import ShapeError
 from siad.model import ArchitectureSpec, ModelWeights, init_weights
-from siad.ops import Conv, MaxPool2, Relu, UpConv
+from siad.ops import Conv, MaxPool2, Relu, UpConv, conv2d, conv2d_backward
+
+# (c_in, c_out): fewer inputs than outputs, as many, more, and one output
+CHANNEL_PAIRS = [(2, 5), (4, 4), (5, 2), (3, 1)]
 
 
 def _conv(kernel, bias):
@@ -15,6 +20,25 @@ def _conv(kernel, bias):
     layer = Conv("c", c_in, c_out, k)
     layer.bind({"c_w": kernel, "c_b": bias})
     return layer
+
+
+def _reference_conv(x, kernel, bias, biased):
+    """The convolution one kernel tap at a time: ``kernel`` (O, C, k, k)."""
+    b, h, w, _ = x.shape
+    k = kernel.shape[2]
+    p = k // 2
+    padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    out = np.zeros((b, h, w, kernel.shape[0]))
+    out[:biased] += bias
+    for di in range(k):
+        for dj in range(k):
+            out += padded[:, di:di + h, dj:dj + w] @ kernel[:, :, di, dj].T
+    return out
+
+
+def _kmat(kernel):
+    """(O, C, k, k) -> the (C, k, k, O) layout `conv2d` takes."""
+    return np.ascontiguousarray(kernel.transpose(1, 2, 3, 0))
 
 
 def _upsampler(x_shape):
@@ -115,6 +139,160 @@ class TestConv2d:
                 fd = (up - down) / (2 * h)
                 assert np.asarray(grad).reshape(-1)[idx] == pytest.approx(
                     fd, rel=1e-5, abs=1e-8)
+
+
+class TestConvFactorings:
+    """Both GEMM factorings of `conv2d` and its adjoint, against references."""
+
+    @pytest.mark.parametrize("c_in,c_out", CHANNEL_PAIRS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_tap_loop(self, c_in, c_out, k, batch):
+        rng = np.random.default_rng(10 * c_in + c_out + k)
+        x = rng.normal(size=(batch, 6, 5, c_in))
+        kernel = rng.normal(size=(c_out, c_in, k, k))
+        bias = rng.normal(size=c_out)
+        for biased in (0, 1, batch):
+            np.testing.assert_allclose(conv2d(x, _kmat(kernel), bias, biased),
+                                       _reference_conv(x, kernel, bias, biased),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("c_in,c_out", CHANNEL_PAIRS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_adjoint_identity(self, c_in, c_out, k):
+        """<conv(x), g> = <x, grad_x> = <kernel, grad_kernel> without bias."""
+        rng = np.random.default_rng(c_in + 7 * c_out + k)
+        x = rng.normal(size=(2, 5, 6, c_in))
+        kmat = _kmat(rng.normal(size=(c_out, c_in, k, k)))
+        g = rng.normal(size=(2, 5, 6, c_out))
+        grad_x, grad_kmat, grad_bias = conv2d_backward(g, x, kmat)
+        lhs = np.sum(conv2d(x, kmat, np.zeros(c_out), 0) * g)
+        assert np.sum(x * grad_x) == pytest.approx(lhs, rel=1e-12)
+        assert np.sum(kmat * grad_kmat) == pytest.approx(lhs, rel=1e-12)
+        np.testing.assert_allclose(grad_bias, g.sum(axis=(0, 1, 2)), rtol=1e-13)
+
+    @pytest.mark.parametrize("c_in,c_out", CHANNEL_PAIRS)
+    def test_weight_gradients_match_finite_differences(self, c_in, c_out):
+        rng = np.random.default_rng(20 + c_in + c_out)
+        x = rng.normal(size=(2, 4, 5, c_in))
+        kernel = rng.normal(size=(c_out, c_in, 3, 3))
+        bias = rng.normal(size=c_out)
+        target = rng.normal(size=(2, 4, 5, c_out))
+
+        def loss():
+            return 0.5 * np.sum((_conv(kernel, bias).forward(x) - target) ** 2)
+
+        conv = _conv(kernel, bias)
+        conv.backward(conv.forward(x) - target)
+        h = 1e-6
+        for arr, grad in ((kernel, conv.grads["c_w"]), (bias, conv.grads["c_b"])):
+            flat = arr.reshape(-1)
+            for idx in range(0, flat.size, max(1, flat.size // 7)):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = loss()
+                flat[idx] = orig - h
+                down = loss()
+                flat[idx] = orig
+                assert grad.reshape(-1)[idx] == pytest.approx((up - down) / (2 * h),
+                                                              rel=1e-6, abs=1e-8)
+
+    def test_peak_memory_below_the_product_planes(self):
+        """With fewer inputs than outputs the conv gathers windows instead of
+        building a (B, H+2, W+2, k*k, C_out) product."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(4, 32, 32, 3))
+        kmat = _kmat(rng.normal(size=(32, 3, 3, 3)))
+        bias = rng.normal(size=32)
+        tracemalloc.start()
+        try:
+            conv2d(x, kmat, bias, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 34 * 34 * 9 * 32 * 8
+
+
+def _decoder(rng, c, c_out, k, skip_shape):
+    """An UpConv reading a skip relu of ``skip_shape`` with random weights,
+    the (O, 2c, k, k) kernel and the bias."""
+    skip = Relu()
+    skip.forward(rng.normal(size=skip_shape))
+    layer = UpConv("u", 2 * c, c_out, k, skip)
+    kernel = rng.normal(size=(c_out, 2 * c, k, k))
+    bias = rng.normal(size=c_out)
+    layer.bind({"u_w": kernel, "u_b": bias})
+    return layer, kernel, bias
+
+
+def _up_cat(x, skip_out):
+    """Nearest 2x upsampling of ``x`` concatenated with the skip."""
+    return np.concatenate([x.repeat(2, axis=1).repeat(2, axis=2), skip_out], axis=3)
+
+
+class TestUpConv:
+    """The decoder conv never builds the concatenation; the references do."""
+
+    @pytest.mark.parametrize("c,c_out", [(3, 2), (2, 5), (4, 1)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_forward_matches_upsample_concat_conv(self, c, c_out, k):
+        rng = np.random.default_rng(30 + c + c_out + k)
+        x = rng.normal(size=(3, 3, 4, c))
+        layer, kernel, bias = _decoder(rng, c, c_out, k, (3, 6, 8, c))
+        np.testing.assert_allclose(layer.forward(x),
+                                   _reference_conv(_up_cat(x, layer.skip.out), kernel,
+                                                   bias, 3),
+                                   rtol=0, atol=1e-12)
+
+    def test_affine_matches_reference_and_reuses_the_skip_half(self):
+        rng = np.random.default_rng(40)
+        layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3))
+        fresh = UpConv("u", 6, 2, 3, layer.skip)
+        fresh.bind({"u_w": kernel, "u_b": bias})
+        for step in range(4):
+            if step == 2:  # the skip relu recomputes: a new output array
+                layer.skip.affine(rng.normal(size=(2, 6, 8, 3)), 0.0)
+            pair = rng.normal(size=(2, 3, 4, 3))
+            out, crossing = layer.affine(pair, 0.0)
+            assert crossing == np.inf
+            np.testing.assert_allclose(
+                out, _reference_conv(_up_cat(pair, layer.skip.out), kernel, bias, 1),
+                rtol=0, atol=1e-12)
+            fresh.skip_in = None  # recompute the skip half
+            np.testing.assert_array_equal(out, fresh.affine(pair, 0.0)[0])
+            assert layer.skip_in is layer.skip.out
+
+    def test_backward_matches_finite_differences(self):
+        """Gradients of the input, the skip relu's output (left in its
+        ``skip_grad``), the kernel and the bias."""
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(2, 2, 3, 3))
+        skip_in = np.abs(rng.normal(size=(2, 4, 6, 3))) + 0.5  # relu passes it
+        target = rng.normal(size=(2, 4, 6, 2))
+        layer, kernel, bias = _decoder(rng, 3, 2, 3, skip_in.shape)
+
+        def loss():
+            layer.skip.forward(skip_in)
+            layer.bind({"u_w": kernel, "u_b": bias})
+            return 0.5 * np.sum((layer.forward(x) - target) ** 2)
+
+        loss()
+        grad_x = layer.backward(layer.forward(x) - target)
+        grads = [(x, grad_x), (skip_in, layer.skip.skip_grad),
+                 (kernel, layer.grads["u_w"]), (bias, layer.grads["u_b"])]
+        h = 1e-6
+        for arr, grad in grads:
+            assert grad.shape == arr.shape
+            flat = arr.reshape(-1)
+            for idx in range(0, flat.size, max(1, flat.size // 9)):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = loss()
+                flat[idx] = orig - h
+                down = loss()
+                flat[idx] = orig
+                assert grad.reshape(-1)[idx] == pytest.approx((up - down) / (2 * h),
+                                                              rel=1e-6, abs=1e-8)
 
 
 class TestRelu:
