@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .ops import Conv, LatentHead, MaxPool2, Relu, UpConv
+from .ops import Conv, InputConv, LatentHead, MaxPool2, Relu, UpConv
 from .ops import conv2d  # noqa: F401  (perfbench/layers.py traces this name)
 
 
@@ -77,17 +77,19 @@ class ArchitectureSpec:
     def layers(self):
         """The network as an ordered list of unbound layers.
 
-        Per encoder block: conv, relu (its output is the block's skip),
-        2x2 maxpool.  Then the latent head and a relu.  Per decoder block,
-        deepest first: upsample + skip-concat + conv, then a relu except
-        after the last block, whose output stays signed.
+        Per encoder block: conv (the first computes no gradient with
+        respect to the network's input), relu (its output is the block's
+        skip), 2x2 maxpool.  Then the latent head and a relu.  Per decoder
+        block, deepest first: upsample + skip-concat + conv, then a relu
+        except after the last block, whose output stays signed.
         """
         k = self.kernel_size
         layers, skips = [], []
         c_prev = 1 + self.cond_count
         for i, c in enumerate(self.channels):
             skips.append(Relu())
-            layers += [Conv(f"enc{i}", c_prev, c, k), skips[-1], MaxPool2()]
+            conv = (InputConv if i == 0 else Conv)(f"enc{i}", c_prev, c, k)
+            layers += [conv, skips[-1], MaxPool2()]
             c_prev = c
         layers += [LatentHead(self.channels[-1], self.deep_side, self.latent_dim,
                               self.cond_count), Relu()]

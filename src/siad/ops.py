@@ -11,8 +11,8 @@ pattern is chosen:
 * ``forward(x)`` chooses it from the values and keeps what ``backward``
   needs;
 * ``backward(grad)`` uses the pattern of the last ``forward``, returns the
-  gradient with respect to the layer's input, and leaves the gradients of
-  its weights in ``grads``;
+  gradient with respect to the layer's input, leaves the gradients of its
+  weights in ``grads`` and drops what ``forward`` kept for it;
 * ``affine(pair, z_probe)`` runs on the values ``off + slope*z`` along a
   line, stacked as a batch of two rows (offset, slope).  It chooses the
   pattern at ``z_probe``, resolving exact zeros and ties by slope so the
@@ -31,7 +31,8 @@ along its narrower channel side:
   kernel as a (C_in*k*k, C_out) matrix;
 * otherwise the padded input is multiplied by the kernel as a
   (C_in, k*k*C_out) matrix, and the k*k product planes are added, each
-  shifted by its offset.
+  shifted by its offset: the shifted planes are one strided
+  (B, H, W, k, k, C_out) view of the product, summed in one reduction.
 
 The input gradient is the convolution of the output gradient with the
 kernel rotated 180 degrees and its channel axes swapped, so the same rule
@@ -42,6 +43,13 @@ skip half (with the bias) plus that of the up half, which is one GEMM at
 the input's resolution whose product planes are upsampled into the padded
 grid before the shifted sum.  Along a line, the skip half's output is
 reused for as long as the skip relu's output is the same array.
+
+2x2 max pooling copies its input once into a competitor-major layout,
+(B, 4, H/2*W/2*C): each of the four places of a window is one contiguous
+block over the pooled units, so finding a window's winner is a reduction
+over four rows and the winner is read by its flat index.  Along a line, a
+relu computes its crossings -off/slope only at the units that will flip,
+and a pool only at the competitors that overtake their winner.
 """
 
 from __future__ import annotations
@@ -85,13 +93,17 @@ def _taps(padded, k, h, w, step=1):
 
 def _shift_sum(planes, out):
     """Adds each kernel offset's product plane, shifted by that offset, into
-    ``out`` (B, H, W, C_out); ``planes`` is (B, H+k-1, W+k-1, k*k*C_out)."""
-    _, h, w, c_out = out.shape
+    ``out`` (B, H, W, C_out); ``planes`` is (B, H+k-1, W+k-1, k*k*C_out).
+
+    The shifted planes are one strided (B, H, W, k, k, C_out) view of
+    ``planes``, summed over the two offset axes in one reduction.
+    """
+    b, h, w, c_out = out.shape
     k = planes.shape[1] - h + 1
-    for di in range(k):
-        for dj in range(k):
-            s = (di * k + dj) * c_out
-            out += planes[:, di:di + h, dj:dj + w, s:s + c_out]
+    sb, sh, sw, sn = planes.strides
+    shifted = _view(planes, (b, h, w, k, k, c_out),
+                    (sb, sh, sw, sh + k * c_out * sn, sw + c_out * sn, sn))
+    out += shifted.sum(axis=(3, 4))
     return out
 
 
@@ -122,36 +134,48 @@ def conv2d(x, kmat, bias, biased):
     return _shift_sum(planes.reshape(padded.shape[:3] + (-1,)), out)
 
 
-def _grads_from_taps(grad_taps, x, kmat):
-    """(grad wrt input, grad wrt kernel) of a convolution of ``x``, given
-    the k*k windows of its padded output gradient as `_taps` rows.
+def _input_grad_from_taps(grad_taps, kmat, shape):
+    """Grad wrt the input (of ``shape``) of a convolution, given the k*k
+    windows of its padded output gradient as `_taps` rows: the convolution
+    of the output gradient with the flipped kernel."""
+    return (grad_taps @ _flip(kmat).reshape(-1, kmat.shape[0])).reshape(shape)
 
-    The input gradient is the convolution of the output gradient with the
-    flipped kernel, and the kernel gradient is the input against those same
-    windows, read with the offsets reversed.
-    """
+
+def _kernel_grad_from_taps(grad_taps, x, kmat):
+    """Grad wrt the kernel of a convolution of ``x``, given the same
+    windows: the input against them, read with the offsets reversed."""
     c_in, k, _, c_out = kmat.shape
-    grad_x = (grad_taps @ _flip(kmat).reshape(-1, c_in)).reshape(x.shape)
     flipped = (x.reshape(-1, c_in).T @ grad_taps).reshape(c_in, c_out, k, k)
-    return grad_x, flipped[:, :, ::-1, ::-1].transpose(0, 2, 3, 1)
+    return flipped[:, :, ::-1, ::-1].transpose(0, 2, 3, 1)
+
+
+def _kernel_grad(grad, x, kmat):
+    """(grad wrt kernel, the windows of the padded output gradient or None)
+    of `conv2d` on input ``x``: the windows of whichever side has fewer
+    channels, multiplied against the other side."""
+    b, h, w, c_out = grad.shape
+    c_in, k = kmat.shape[:2]
+    if c_in < c_out:
+        grad_kmat = _taps(_pad(x, k // 2), k, h, w).T @ grad.reshape(-1, c_out)
+        return grad_kmat.reshape(kmat.shape), None
+    grad_taps = _taps(_pad(grad, k // 2), k, h, w)
+    return _kernel_grad_from_taps(grad_taps, x, kmat), grad_taps
 
 
 def conv2d_backward(grad, x, kmat):
     """Adjoint of `conv2d` on input ``x``: (grad wrt x, grad wrt kernel,
     grad wrt bias).
 
-    The input gradient is ``conv2d`` of ``grad`` with the flipped kernel.
-    The kernel gradient gathers the windows of whichever side has fewer
-    channels; the output gradient's windows also serve the input gradient.
+    The input gradient is ``conv2d`` of ``grad`` with the flipped kernel,
+    unless the kernel gradient gathered the output gradient's windows,
+    which then serve the input gradient too.
     """
-    b, h, w, c_out = grad.shape
-    c_in, k = kmat.shape[:2]
-    if c_in < c_out:
-        grad_kmat = _taps(_pad(x, k // 2), k, h, w).T @ grad.reshape(-1, c_out)
+    grad_kmat, grad_taps = _kernel_grad(grad, x, kmat)
+    if grad_taps is None:
         grad_x = conv2d(grad, _flip(kmat), 0.0, 0)
     else:
-        grad_x, grad_kmat = _grads_from_taps(_taps(_pad(grad, k // 2), k, h, w), x, kmat)
-    return grad_x, grad_kmat.reshape(kmat.shape), grad.sum(axis=(0, 1, 2))
+        grad_x = _input_grad_from_taps(grad_taps, kmat, x.shape)
+    return grad_x, grad_kmat, grad.sum(axis=(0, 1, 2))
 
 
 class Conv(Layer):
@@ -176,28 +200,40 @@ class Conv(Layer):
     def backward(self, grad):
         grad_x, grad_kmat, grad_bias = conv2d_backward(grad, self.x, self.kmat)
         self._set_grads(grad_kmat, grad_bias)
+        self.x = None
         return grad_x
 
     def affine(self, pair, z_probe):
         return conv2d(pair, self.kmat, self.bias, 1), np.inf
 
 
+class InputConv(Conv):
+    """The network's first convolution.  Nothing reads the gradient with
+    respect to the network's input, so its backward leaves only the weight
+    gradients and returns None."""
+
+    def backward(self, grad):
+        self._set_grads(_kernel_grad(grad, self.x, self.kmat)[0], grad.sum(axis=(0, 1, 2)))
+        self.x = None
+
+
 def _next_crossing(zc, z_probe):
     """The nearest pattern change at or beyond the probe.
 
-    ``zc`` holds, per unit, where the pattern chosen at the probe would
-    change (inf where it never does).  A change at or before the probe
-    means rounding put the probe's value on the wrong side of a tie: the
-    pattern is exact at the probe only, so the probe itself is returned and
-    a line scan's next probe recomputes this layer.
+    ``zc`` holds where the pattern chosen at the probe would change, at the
+    units where it changes at all.  A change at or before the probe means
+    rounding put the probe's value on the wrong side of a tie: the pattern
+    is exact at the probe only, so the probe itself is returned and a line
+    scan's next probe recomputes this layer.
     """
-    return float(max(zc.min(), z_probe))
+    return float(max(zc.min(initial=np.inf), z_probe))
 
 
 class Relu(Layer):
     """max(v, 0) as a 0/1 gate.  An encoder relu whose output the decoder
-    also reads (a skip) keeps that output in ``out`` and, before its own
-    backward, adds the gradient the decoder left in ``skip_grad``."""
+    also reads (a skip) keeps that output in ``out`` and, in its own
+    backward, adds the gradient the decoder left in ``skip_grad``, then
+    drops it."""
 
     skip_grad = None
 
@@ -209,66 +245,75 @@ class Relu(Layer):
     def backward(self, grad):
         if self.skip_grad is not None:
             grad = grad + self.skip_grad
-        return grad * self.gate
+        grad = grad * self.gate
+        self.skip_grad = self.gate = self.out = None
+        return grad
 
     def affine(self, pair, z_probe):
         """A unit is on when its value at the probe is positive (an exact
         zero goes by the slope's sign).  On units with negative slope and
-        off units with positive slope cross zero at -off/slope."""
+        off units with positive slope cross zero at -off/slope, which is
+        computed at those units only."""
         off, slope = pair
         v = off + slope * z_probe
-        gate = (v > 0.0) | ((v == 0.0) & (slope > 0.0))
-        moving = np.where(gate, slope < 0.0, slope > 0.0)
-        zc = np.where(moving, -off / np.where(moving, slope, 1.0), np.inf)
+        rising = slope > 0.0
+        gate = (v > 0.0) | ((v == 0.0) & rising)
+        moving = np.flatnonzero((gate ^ rising) & (slope != 0.0))  # on falling, off rising
         self.out = pair * gate
-        return self.out, _next_crossing(zc, z_probe)
+        return self.out, _next_crossing(-off.take(moving) / slope.take(moving), z_probe)
 
 
-def _windows(x):
-    """(B, H, W, C) -> (B, H/2, W/2, 4, C): each 2x2 window, row-major, on axis 3."""
+def _competitors(x):
+    """(B, H, W, C) -> (B, 4, H/2*W/2*C): the four places of each 2x2 window,
+    in row-major order, each as one contiguous block over the pooled units
+    (which keep their (H/2, W/2, C) order)."""
     b, h, w, c = x.shape
-    return x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(
-        b, h // 2, w // 2, 4, c)
+    return x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 2, 4, 1, 3, 5).reshape(b, 4, -1)
 
 
 class MaxPool2(Layer):
-    """2x2 non-overlapping max pooling; the pattern is each window's winner."""
+    """2x2 non-overlapping max pooling; the pattern is each window's winner.
 
-    def _pick(self, windows, win):
-        return np.take_along_axis(windows, win[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    All three passes read the input in the competitor-major layout of
+    `_competitors`, so a winner ``q`` of pooled unit ``u`` in row ``r`` is
+    the flat element ``(4r + q) n + u`` (``n`` pooled units per row)."""
+
+    def _flat(self):
+        """The flat indices of the winners ``win`` of the last forward."""
+        b, n = len(self.win), self.win[0].size
+        return (self.win.reshape(b, n) + 4 * np.arange(b)[:, None]) * n + np.arange(n)
 
     def forward(self, x):
         """Ties go to the smallest row-major index (top-left first)."""
-        windows = _windows(x)
-        self.in_shape = x.shape
-        self.win = windows.argmax(axis=3)
-        return self._pick(windows, self.win)
+        b, h, w, c = self.in_shape = x.shape
+        comp = _competitors(x)
+        self.win = comp.argmax(axis=1).reshape(b, h // 2, w // 2, c)
+        return comp.take(self._flat()).reshape(self.win.shape)
 
     def backward(self, grad):
         b, h, w, c = self.in_shape
-        grad_windows = np.zeros((b, h // 2, w // 2, 4, c))
-        np.put_along_axis(grad_windows, self.win[:, :, :, None, :],
-                          grad[:, :, :, None, :], axis=3)
-        return grad_windows.reshape(b, h // 2, w // 2, 2, 2, c).transpose(
-            0, 1, 3, 2, 4, 5).reshape(b, h, w, c)
+        grad_comp = np.zeros((b, 2, 2, h // 2, w // 2, c))
+        grad_comp.reshape(-1)[self._flat()] = grad.reshape(b, -1)
+        self.win = None
+        return grad_comp.transpose(0, 3, 1, 4, 2, 5).reshape(b, h, w, c)
 
     def affine(self, pair, z_probe):
         """Ties at the probe go to the competitor that wins just to the right
         (largest slope, then smallest index).  A competitor with a larger
         slope than the winner overtakes it where their values meet."""
-        windows = _windows(pair)
-        woff, wslope = windows  # (h/2, w/2, 4, c); competitors on axis 2
-        v = woff + wslope * z_probe
-        at_max = v == v.max(axis=2, keepdims=True)
-        slope_if_max = np.where(at_max, wslope, -np.inf)
-        best = at_max & (slope_if_max == slope_if_max.max(axis=2, keepdims=True))
-        pooled = self._pick(windows, best.argmax(axis=2)[None])
-        ds = wslope - pooled[1][:, :, None, :]
-        overtaking = ds > 0.0
-        zc = np.where(overtaking,
-                      (pooled[0][:, :, None, :] - woff) / np.where(overtaking, ds, 1.0),
-                      np.inf)
-        return pooled, _next_crossing(zc, z_probe)
+        _, h, w, c = pair.shape
+        comp = _competitors(pair)
+        off, slope = comp  # (4, n): competitors on axis 0
+        n = off.shape[1]
+        v = off + slope * z_probe
+        at_max = v == v.max(axis=0)
+        slope_if_max = np.where(at_max, slope, -np.inf)
+        win = (at_max & (slope_if_max == slope_if_max.max(axis=0))).argmax(axis=0)
+        pooled = comp.reshape(2, -1).take(win * n + np.arange(n), axis=1)
+        ds = slope - pooled[1]
+        overtaking = np.flatnonzero(ds > 0.0)
+        zc = (pooled[0] - off).take(overtaking) / ds.take(overtaking)
+        return pooled.reshape(2, h // 2, w // 2, c), _next_crossing(zc, z_probe)
 
 
 class LatentHead(Layer):
@@ -332,6 +377,7 @@ class LatentHead(Layer):
         values = (d_mu.T @ self.flat, d_mu.sum(axis=0), d_logvar.T @ self.flat,
                   d_logvar.sum(axis=0), d_g.T @ self.zc, d_g.sum(axis=0))
         self.grads = {name: v for (name, _), v in zip(self.shapes, values)}
+        self.flat = self.mu = self.logvar = self.zc = None
         d_flat = d_mu @ self.mu_w + d_logvar @ self.logvar_w
         return d_flat.reshape(b, *self.map_shape).transpose(0, 2, 3, 1)
 
@@ -390,9 +436,11 @@ class UpConv(Conv):
         k = self.kmat.shape[1]
         g = _pad(grad, k // 2)
         box = g[:, :-1, :-1] + g[:, 1:, :-1] + g[:, :-1, 1:] + g[:, 1:, 1:]
-        grad_x, grad_up = _grads_from_taps(_taps(box, k, h, w, step=2), self.x,
-                                           self.up_kmat)
+        box_taps = _taps(box, k, h, w, step=2)
+        grad_up = _kernel_grad_from_taps(box_taps, self.x, self.up_kmat)
         self._set_grads(np.concatenate([grad_up, grad_skip]), grad_bias)
+        grad_x = _input_grad_from_taps(box_taps, self.up_kmat, self.x.shape)
+        self.x = None
         return grad_x
 
     def affine(self, pair, z_probe):

@@ -31,15 +31,20 @@ always advances; the induced value error is bounded by the layer slopes
 times ``PROGRESS_TOL`` and stays far below the 1e-9 agreement tolerance the
 tests enforce.
 
-The scan runs once per piece and pieces number in the thousands, so the
-layers keep numpy call overhead low: offset and slope planes travel
-together as a batch of two rows in the layers' channels-last layout, and
-each convolution is one GEMM along its narrower channel side (gathered
-windows, or product planes and shifted adds) against a kernel laid out
-once per line, when the plan binds the layers.  A decoder conv adds the
-convolution of its skip half, which it keeps for as long as the encoder
-relu it reads is not recomputed, to one GEMM of its upsampled half at the
-lower resolution.
+The scan runs once per piece and pieces number in the thousands, on
+arrays of a few thousand values, so its cost is the number of numpy calls
+and full-array passes per stage.  The layers keep both low: offset and
+slope planes travel together as a batch of two rows in the layers'
+channels-last layout; each convolution is one GEMM along its narrower
+channel side (gathered windows, or product planes summed shifted in one
+strided reduction) against a kernel laid out once per line, when the plan
+binds the layers; a decoder conv adds the convolution of its skip half,
+which it keeps for as long as the encoder relu it reads is not
+recomputed, to one GEMM of its upsampled half at the lower resolution;
+pooling reads its windows in one competitor-major copy; and a relu or
+pool divides for crossings only at the units that flip.  Batching
+several lines or subjects in lockstep does not pay here: a step's cost
+grows almost linearly with the batch.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import pytest
 
 from siad.errors import ShapeError
 from siad.model import ArchitectureSpec, ModelWeights, init_weights
-from siad.ops import Conv, MaxPool2, Relu, UpConv, conv2d, conv2d_backward
+from siad.ops import Conv, MaxPool2, Relu, UpConv, _shift_sum, conv2d, conv2d_backward
 
 # (c_in, c_out): fewer inputs than outputs, as many, more, and one output
 CHANNEL_PAIRS = [(2, 5), (4, 4), (5, 2), (3, 1)]
@@ -382,3 +382,174 @@ class TestUpsampleNearest:
         lhs = np.sum(up.forward(x) * y)
         rhs = np.sum(x * up.backward(y))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# ------------------------------------------------- earlier kernels as oracles
+# The relu, pooling and shifted-sum kernels as they were written before the
+# pooling layout became competitor-major, the relu crossings were taken at
+# moving units only and the shifted sum became one reduction.
+
+def _reference_windows(x):
+    """(B, H, W, C) -> (B, H/2, W/2, 4, C): each 2x2 window, row-major, on axis 3."""
+    b, h, w, c = x.shape
+    return x.reshape(b, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(
+        b, h // 2, w // 2, 4, c)
+
+
+def _reference_pick(windows, win):
+    return np.take_along_axis(windows, win[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+
+
+def _reference_crossing(zc, z_probe):
+    return float(max(zc.min(), z_probe))
+
+
+def _reference_relu_affine(pair, z_probe):
+    off, slope = pair
+    v = off + slope * z_probe
+    gate = (v > 0.0) | ((v == 0.0) & (slope > 0.0))
+    moving = np.where(gate, slope < 0.0, slope > 0.0)
+    zc = np.where(moving, -off / np.where(moving, slope, 1.0), np.inf)
+    return pair * gate, _reference_crossing(zc, z_probe)
+
+
+def _reference_pool_forward(x):
+    windows = _reference_windows(x)
+    win = windows.argmax(axis=3)
+    return _reference_pick(windows, win), win
+
+
+def _reference_pool_backward(grad, win, in_shape):
+    b, h, w, c = in_shape
+    grad_windows = np.zeros((b, h // 2, w // 2, 4, c))
+    np.put_along_axis(grad_windows, win[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
+    return grad_windows.reshape(b, h // 2, w // 2, 2, 2, c).transpose(
+        0, 1, 3, 2, 4, 5).reshape(b, h, w, c)
+
+
+def _reference_pool_affine(pair, z_probe):
+    windows = _reference_windows(pair)
+    woff, wslope = windows
+    v = woff + wslope * z_probe
+    at_max = v == v.max(axis=2, keepdims=True)
+    slope_if_max = np.where(at_max, wslope, -np.inf)
+    best = at_max & (slope_if_max == slope_if_max.max(axis=2, keepdims=True))
+    pooled = _reference_pick(windows, best.argmax(axis=2)[None])
+    ds = wslope - pooled[1][:, :, None, :]
+    overtaking = ds > 0.0
+    zc = np.where(overtaking,
+                  (pooled[0][:, :, None, :] - woff) / np.where(overtaking, ds, 1.0),
+                  np.inf)
+    return pooled, _reference_crossing(zc, z_probe)
+
+
+def _reference_shift_sum(planes, out):
+    _, h, w, c_out = out.shape
+    k = planes.shape[1] - h + 1
+    for di in range(k):
+        for dj in range(k):
+            s = (di * k + dj) * c_out
+            out += planes[:, di:di + h, dj:dj + w, s:s + c_out]
+    return out
+
+
+TIE_PROBE = 0.5  # dyadic, so the value ties built for it hold exactly
+
+
+def _awkward_pair(seed, rows=2, side=6, c=3):
+    """(rows, side, side, c) values whose 2x2 windows are each one of: random
+    values with exact zeros and zero slopes; four equal competitors (tied in
+    value and slope); competitors tied in value at ``TIE_PROBE`` only, with
+    different slopes; all zeros of either sign.  With two rows it is an
+    (offset, slope) pair."""
+    rng = np.random.default_rng(seed)
+    windows = rng.normal(size=(rows, side // 2, side // 2, 4, c))
+    # signed zeros, as a relu gives them, tell tied competitors apart
+    zeros = np.where(rng.random(windows.shape) < 0.5, -0.0, 0.0)
+    windows = np.where(rng.random(windows.shape) < 0.2, zeros, windows)
+    kind = rng.integers(0, 4, size=(side // 2, side // 2, 1, c))
+    windows = np.where(kind == 1, windows[:, :, :, :1], windows)
+    if rows == 2:
+        slopes = rng.integers(-3, 4, size=windows.shape[1:]) / 4.0
+        level = rng.integers(-4, 5, size=(side // 2, side // 2, 1, c)) / 8.0
+        tied = np.stack([level - slopes * TIE_PROBE, slopes])
+        windows = np.where(kind == 2, tied, windows)
+    windows = np.where(kind == 3, zeros, windows)
+    return windows.reshape(rows, side // 2, side // 2, 2, 2, c).transpose(
+        0, 1, 3, 2, 4, 5).reshape(rows, side, side, c)
+
+
+def _probes(pair, reference):
+    """Probes at the tie level, at random places, and exactly on the crossing
+    the reference reports from an earlier probe."""
+    probes = [TIE_PROBE, -1.3, 0.0, 2.0]
+    for z in list(probes):
+        crossing = reference(pair, z)[1]
+        if np.isfinite(crossing):
+            probes.append(crossing)
+    return probes
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestKernelOracles:
+    """The relu and pooling kernels reproduce the earlier ones bit for bit;
+    the shifted sum does from a zero output, and to rounding with a bias."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_relu_affine(self, seed):
+        pair = _awkward_pair(seed)
+        assert np.any(pair[0] == 0.0) and np.any(pair[1] == 0.0)
+        for z in _probes(pair, _reference_relu_affine):
+            out, crossing = Relu().affine(pair, z)
+            want, want_crossing = _reference_relu_affine(pair, z)
+            _same_bits(out, want)
+            assert crossing == want_crossing
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pool_affine(self, seed):
+        pair = _awkward_pair(seed)
+        for z in _probes(pair, _reference_pool_affine):
+            pooled, crossing = MaxPool2().affine(pair, z)
+            want, want_crossing = _reference_pool_affine(pair, z)
+            _same_bits(pooled, want)
+            assert crossing == want_crossing
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pool_forward_and_backward(self, seed):
+        x = _awkward_pair(seed, rows=3)
+        pool = MaxPool2()
+        pooled = pool.forward(x)
+        want, win = _reference_pool_forward(x)
+        _same_bits(pooled, want)
+        np.testing.assert_array_equal(pool.win, win)
+        grad = np.random.default_rng(seed).normal(size=pooled.shape)
+        _same_bits(pool.backward(grad), _reference_pool_backward(grad, win, x.shape))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c_out", [1, 4])
+    def test_shift_sum(self, k, c_out):
+        rng = np.random.default_rng(60 + k + c_out)
+        planes = rng.normal(size=(2, 4 + k - 1, 5 + k - 1, k * k * c_out))
+        _same_bits(_shift_sum(planes, np.zeros((2, 4, 5, c_out))),
+                   _reference_shift_sum(planes, np.zeros((2, 4, 5, c_out))))
+        biased = np.zeros((2, 4, 5, c_out)) + rng.normal(size=c_out)
+        np.testing.assert_allclose(_shift_sum(planes, biased.copy()),
+                                   _reference_shift_sum(planes, biased.copy()),
+                                   rtol=0, atol=1e-12)
+
+    def test_pool_crossing_rounded_before_the_probe(self):
+        """Competitor 1 overtakes the winner where rounding puts the
+        crossing just left of the probe; the probe itself is reported."""
+        z = 4.327821974306458
+        window = [(-0.8332813138220689, -2.661140627233907),
+                  (-3.241979120420866, -2.104579423723498),
+                  (-10.0, -2.661140627233907), (-10.0, -2.661140627233907)]
+        pair = np.array(window).T.reshape(2, 2, 2, 1)
+        want, want_crossing = _reference_pool_affine(pair, z)
+        assert want_crossing == z
+        pooled, crossing = MaxPool2().affine(pair, z)
+        _same_bits(pooled, want)
+        assert crossing == z

@@ -17,7 +17,7 @@ from siad.anomaly import RoiMask, Threshold, detect
 from siad.inference import (NoiseModel, _matching_runs, contrast_vector,
                             line_decomposition, sigma_of_contrast, truncation_region)
 from siad.model import ArchitectureSpec, init_weights, reconstruct
-from siad.parametric import AffineLine, _LinePlan, parametric_infer
+from siad.parametric import PROGRESS_TOL, AffineLine, _LinePlan, parametric_infer
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -198,3 +198,47 @@ def test_truncation_region_matches_a_dense_grid(net, blocky, rank_quarter, whole
     near_edge = np.min(np.abs(zs[:, None] - endpoints[None, :]), axis=1) <= zs[1] - zs[0]
     assert not np.any((member != in_set) & ~near_edge)
     assert trunc.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
+
+
+@PROPERTY_SETTINGS
+@given(networks(), st.sampled_from([0.0, 1e-15, 1e-14, 1e-13]), st.floats(-2.0, 2.0),
+       st.floats(-2.0 * PROGRESS_TOL, 2.0 * PROGRESS_TOL), st.integers(1, 3))
+def test_crossings_within_progress_tol_of_the_probe(net, spread, center, z_shift,
+                                                     rank_quarter):
+    """A line through (nearly) the zero image at ``center``: with the first
+    conv unbiased and the conditions zero, its units all cross zero within
+    ``PROGRESS_TOL`` of one another, so the scan skips crossings next to its
+    probe.  The observation sits in that cluster; its truncation set must
+    still cover it (the check that ends ``truncation_region``), and its
+    piece must still give the reconstruction to 1e-9."""
+    weights, _, rng = net
+    arch, side = weights.arch, weights.arch.side
+    weights.params["enc0_b"] = np.zeros_like(weights.params["enc0_b"])
+    cond = np.zeros(arch.cond_count)
+    b = _image(rng, side, False)
+    line = AffineLine(-center * b + spread * rng.normal(size=b.size), b,
+                      (center - 3.0, center + 3.0))
+    off, slope = _LinePlan(line, cond, weights).outputs[0]
+    sloped = slope != 0.0
+    crossings = -off[sloped] / slope[sloped]
+    assume(np.sum(np.abs(crossings - center) <= PROGRESS_TOL) >= 2)
+
+    z_obs = center + z_shift
+    x = line.at(z_obs)
+    want = reconstruct(x.reshape(side, side), cond, weights).reshape(-1)
+    roi = RoiMask.centered_square(side, 0.5)
+    levels = np.unique(np.abs(x - want)[roi.member])
+    assume(len(levels) >= 4)
+    k = rank_quarter * len(levels) // 4
+    # Near the zero image the decoder sees an almost constant map, so some
+    # ROI errors differ by rounding only.  A threshold between two of those
+    # leaves the mask to rounding, which no scan can reproduce; keep it 1e-9
+    # (the exactness the scan guarantees) from every error.
+    assume(levels[k] - levels[k - 1] > 2e-9)
+    threshold = Threshold(value=float(0.5 * (levels[k - 1] + levels[k])),
+                          source_quantile=0.95, calibration_count=len(levels))
+    mask = detect(x, cond, weights, threshold, roi)
+    trunc = truncation_region(line, cond, weights, threshold, roi, mask, z_obs)
+    assert trunc.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
+    piece = next(p for p in parametric_infer(line, cond, weights) if p.lo <= z_obs <= p.hi)
+    assert np.max(np.abs(piece.at(z_obs) - want)) < 1e-9

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from siad import training
 from siad.errors import DataError
-from siad.model import ArchitectureSpec, init_weights, zero_weights
+from siad.model import ArchitectureSpec, forward, init_weights, zero_weights
+from siad.ops import Relu
 from siad.synth import gen_diseased, gen_null_cohort, SignalSpec
 from siad.training import (AdamState, TrainConfig, adam_step, evaluate_loss,
                            loss_and_gradients, train)
@@ -66,6 +68,28 @@ class TestGradients:
         w.params["mu_b"] = mu_b.copy()
         _, grads = loss_and_gradients(np.zeros((1, 8, 8)), np.zeros(2), w, np.zeros(3))
         np.testing.assert_array_equal(grads["mu_b"], mu_b)
+
+    def test_backward_releases_what_forward_kept(self, monkeypatch):
+        """Once a layer's backward has run it holds nothing for it; an
+        encoder relu also drops the gradient its decoder conv left it."""
+        passes = []
+
+        def recording_forward(*args, **kwargs):
+            passes.append(forward(*args, **kwargs))
+            return passes[-1]
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        rng = np.random.default_rng(29)
+        loss_and_gradients(rng.normal(size=(2, 8, 8)), rng.normal(size=(2, 2)),
+                           init_weights(ARCH, 29), rng.normal(size=(2, 3)))
+        (_, _, layers), = passes
+        relus = [layer for layer in layers if isinstance(layer, Relu)]
+        assert len(relus) == 4
+        for relu in relus:
+            assert relu.skip_grad is None and relu.gate is None and relu.out is None
+        for layer in layers:
+            for kept in ("x", "win", "zc"):
+                assert getattr(layer, kept, None) is None, (type(layer).__name__, kept)
 
 
 def _worst_relative(got, want):
