@@ -9,7 +9,9 @@ that the detector reproduces the observed mask.  The selective test works
 along the line through the observation in the direction of the contrast:
 the detector is decomposed into exact linear pieces over ±(|z_obs| + 20
 sigma).  On each piece a pixel's error is within the threshold on one closed
-band of the line parameter; the set where every unflagged ROI pixel is inside
+band of the line parameter (a pixel whose error at the observation lies
+within the scan's value error of the threshold keeps its observed side
+there); the set where every unflagged ROI pixel is inside
 its band and every flagged one outside is found for all pieces in one array
 pass, and the p-value comes from the normal distribution truncated to it.
 """
@@ -26,7 +28,7 @@ from .anomaly import AnomalyMask, RoiMask, Threshold, detect
 from .errors import (DataError, DegenerateMaskError, NumericalDiagnosticError,
                      ShapeError)
 from .model import ModelWeights
-from .parametric import AffineLine, parametric_infer
+from .parametric import VALUE_TOL, AffineLine, parametric_infer
 
 WINDOW_SIGMAS = 20.0  # the window reaches this many sigma past |z_obs|
 STATUS_TESTED = "tested"
@@ -194,7 +196,8 @@ def _matching_runs(ends: np.ndarray, e_off: np.ndarray, e_slope: np.ndarray,
     """Maximal z-intervals on which ``|error| > t`` is exactly ``flagged``.
 
     On piece ``p``, spanning ``ends[p]``, ROI pixel ``i`` has the error
-    ``e_off[p, i] + e_slope[p, i] * z``, within t on a closed band of z.
+    ``e_off[p, i] + e_slope[p, i] * z``, within t on a closed band of z
+    (``t`` is one threshold for every pixel, or one per pixel).
     The unflagged pixels' bands intersect in one interval per piece; the
     flagged pixels' bands, sorted by start, leave a gap wherever one starts
     past the running maximum of the ends before it.  Runs from all pieces
@@ -233,17 +236,27 @@ def truncation_region(line: AffineLine, cond, weights: ModelWeights,
     Each linear piece of the reconstruction gives affine per-pixel errors;
     ``_matching_runs`` keeps the z where every unflagged ROI pixel's error
     is within the threshold and every flagged one's is not, for all pieces
-    at once.  The interval containing ``z_obs`` must be found, otherwise
-    something is numerically wrong.
+    at once.  The pieces give each error to within ``VALUE_TOL`` (relative
+    to t above 1), so a pixel whose error at ``z_obs`` lies that close to
+    the threshold counts as on its observed side there: its band is
+    widened by that margin, outward if it is unflagged and inward if it is
+    flagged.  The interval containing ``z_obs`` must then be found,
+    otherwise something is numerically wrong.
     """
     pieces = parametric_infer(line, cond, weights)
     roi_idx = roi.indices
+    ends = np.array([(p.lo, p.hi) for p in pieces])
     e_off = line.a[roi_idx] - np.array([p.recon_offset for p in pieces])[:, roi_idx]
     e_slope = line.b[roi_idx] - np.array([p.recon_slope for p in pieces])[:, roi_idx]
+    flagged = observed.as_bool(roi.member.size)[roi_idx]
+    t = threshold.value
+    delta = VALUE_TOL * max(1.0, t)
+    at_obs = (ends[:, 0] <= z_obs) & (z_obs <= ends[:, 1])
+    e_obs = np.abs(e_off[at_obs] + e_slope[at_obs] * z_obs)
+    near = np.any(np.abs(e_obs - t) <= delta, axis=0)
+    levels = np.where(near, np.where(flagged, max(t - delta, 0.0), t + delta), t)
     merge_tol = 1e-12 * max(1.0, abs(line.window[0]), abs(line.window[1]))
-    matched = _matching_runs(np.array([(p.lo, p.hi) for p in pieces]), e_off, e_slope,
-                             observed.as_bool(roi.member.size)[roi_idx],
-                             threshold.value, merge_tol)
+    matched = _matching_runs(ends, e_off, e_slope, flagged, levels, merge_tol)
     if not matched:
         raise NumericalDiagnosticError("no interval reproduces the observed mask")
     trunc = TruncationSet(tuple(matched))

@@ -287,7 +287,9 @@ class MaxPool2(Layer):
         """Ties go to the smallest row-major index (top-left first)."""
         b, h, w, c = self.in_shape = x.shape
         comp = _competitors(x)
-        self.win = comp.argmax(axis=1).reshape(b, h // 2, w // 2, c)
+        c0, c1, c2, c3 = comp.transpose(1, 0, 2)
+        win = np.where(np.maximum(c2, c3) > np.maximum(c0, c1), 2 + (c3 > c2), c1 > c0)
+        self.win = win.reshape(b, h // 2, w // 2, c)
         return comp.take(self._flat()).reshape(self.win.shape)
 
     def backward(self, grad):
@@ -396,7 +398,9 @@ class UpConv(Conv):
     commutes with the per-pixel GEMM, so the second is one GEMM at the input's
     resolution whose product planes are upsampled into the padded grid
     before the shifted sum.  Along a line, the skip half's output is reused
-    for as long as ``skip.out`` is the same array.
+    for as long as ``skip.out`` is the same array.  A line plan that reruns
+    the skip relu to a bit-for-bit equal output puts the old array back in
+    ``skip.out``, so the reuse outlasts such a rerun.
     """
 
     def __init__(self, name, c_in, c_out, k, skip: Relu):

@@ -13,23 +13,31 @@ The stages of the forward pass are the model's layer list (each conv, relu
 and maxpool of the encoder, the latent head, the dense relu, each decoder
 upsample + skip + conv and each decoder relu), run by their ``affine``
 method, and the plan for a line keeps every stage's output and crossing
-from the previous probe.  A stage's output depends only on its inputs and
-on the pattern it fixes at the probe, and that pattern is the same at every
-``z`` between the previous probe and the stage's crossing.  (Where rounding
-puts a probe that sits exactly on a tie on the wrong side of it, the stage
-reports the probe itself as its crossing, so that holds there too.)  So a
-probe to the right of the previous one restarts at the first stage whose
-crossing it has reached and reuses every stage before it: the reused arrays
-are the ones a recomputation would give (the tests compare them bit for
-bit), and the pieces do not change.  A probe to the left of the previous
-one recomputes every stage that depends on ``z``.  A breakpoint flips the
-pattern of one layer, so a piece costs only the stages downstream of that
-layer.
+from the previous probe.  A stage's output depends only on its inputs (the
+previous stage's output and, for a decoder conv, its skip relu's output)
+and on the pattern it fixes at the probe, and that pattern is the same at
+every ``z`` between the previous probe and the stage's crossing.  (Where
+rounding puts a probe that sits exactly on a tie on the wrong side of it,
+the stage reports the probe itself as its crossing, so that holds there
+too.)  So on a probe to the right of the previous one a stage reruns only
+when the probe has reached its crossing or one of its inputs changed;
+every other stage keeps its output and its crossing, which are the ones a
+rerun would give (the tests compare them bit for bit), and the pieces do
+not change.  A rerun whose output equals the kept one bit for bit counts
+as unchanged: the kept array stays, and the stages reading it need not
+rerun for its sake.  This is the early cutoff of build systems (Mokhov,
+Mitchell & Peyton Jones, *Build systems a la carte*, 2018).  A breakpoint
+flips the pattern of one layer, so a piece costs that layer and only those
+stages downstream whose inputs it actually changes; after an encoder relu
+flips, a pool whose winners did not move usually ends the pass.  A probe to
+the left of the previous one recomputes every stage that depends on ``z``.
 
 Crossings closer than ``PROGRESS_TOL`` to the probe are skipped so the scan
 always advances; the induced value error is bounded by the layer slopes
-times ``PROGRESS_TOL`` and stays far below the 1e-9 agreement tolerance the
-tests enforce.
+times ``PROGRESS_TOL`` (up to about 1e-12 near clustered crossings) and
+stays below ``VALUE_TOL``, the agreement with the direct forward pass the
+tests enforce and the margin `inference.truncation_region` allows a pixel
+whose error lies that close to the threshold.
 
 The scan runs once per piece and pieces number in the thousands, on
 arrays of a few thousand values, so its cost is the number of numpy calls
@@ -39,8 +47,8 @@ channels-last layout; each convolution is one GEMM along its narrower
 channel side (gathered windows, or product planes summed shifted in one
 strided reduction) against a kernel laid out once per line, when the plan
 binds the layers; a decoder conv adds the convolution of its skip half,
-which it keeps for as long as the encoder relu it reads is not
-recomputed, to one GEMM of its upsampled half at the lower resolution;
+which it keeps for as long as the output of the encoder relu it reads is
+unchanged, to one GEMM of its upsampled half at the lower resolution;
 pooling reads its windows in one competitor-major copy; and a relu or
 pool divides for crossings only at the units that flip.  Batching
 several lines or subjects in lockstep does not pay here: a step's cost
@@ -55,9 +63,11 @@ import numpy as np
 
 from .errors import NumericalDiagnosticError, ShapeError
 from .model import ModelWeights, _rows, network, network_input
+from .ops import Relu, UpConv
 
 PIECE_CAP = 10 ** 6  # a scan with more pieces is a numerical fault
 PROGRESS_TOL = 1e-12
+VALUE_TOL = 1e-9  # bound on a piece's value error, for values of order one
 
 
 @dataclass(frozen=True)
@@ -104,9 +114,19 @@ class _LinePlan:
 
     The stages are the model's layers.  Stage ``k`` maps the output of
     stage ``k - 1`` and ``z_probe`` to ``(pair, crossing)``; a decoder conv
-    also reads the matching encoder relu's last output.  Stage 0, the first
-    encoder conv, does not depend on ``z`` and runs once here.
-    ``stages_run`` counts the stages ``evaluate`` has computed.
+    also reads the matching encoder relu's last output (``readers[k]``
+    lists the stages that read stage ``k``).  Stage 0, the first encoder
+    conv, does not depend on ``z`` and runs once here.
+
+    On a probe at or to the right of the previous one, ``evaluate`` reruns
+    stage ``k`` only if the probe reached its crossing or a stage it reads
+    changed; a rerun to a bit-for-bit equal output is not a change, and
+    the old array is kept.  A kept output and crossing are exact because
+    the stage's inputs are the same arrays and its pattern holds up to its
+    crossing.  A probe to the left reruns every stage.  ``stages_run``
+    counts the stages ``evaluate`` has computed, ``stages_skipped`` those
+    it kept; together they are the probes times the stages after the
+    first.
 
     No stage refers back to the plan: such a reference cycle would keep
     every stage output alive until the cyclic garbage collector ran, tens
@@ -128,7 +148,13 @@ class _LinePlan:
         self.outputs += [None] * (len(self.layers) - 1)
         self.crossings = [np.inf] * len(self.layers)
         self.probe = np.inf  # no stage after the first has run yet
-        self.stages_run = 0
+        # the stages reading each stage's output: the next one and, for an
+        # encoder relu, the decoder conv that takes it as its skip
+        self.readers = [[k + 1] for k in range(len(self.layers) - 1)] + [[]]
+        for k, layer in enumerate(self.layers):
+            if isinstance(layer, UpConv):
+                self.readers[self.layers.index(layer.skip)].append(k)
+        self.stages_run = self.stages_skipped = 0
 
     def evaluate(self, z_probe):
         """Affine forward with the pattern frozen at ``z_probe``.
@@ -138,13 +164,24 @@ class _LinePlan:
         breaks).
         """
         layers, outputs, crossings = self.layers, self.outputs, self.crossings
-        start = 1
-        if z_probe >= self.probe:
-            start = next((k for k, c in enumerate(crossings) if c <= z_probe),
-                         len(crossings))
-        for k in range(start, len(layers)):
-            outputs[k], crossings[k] = layers[k].affine(outputs[k - 1], z_probe)
-        self.stages_run += len(layers) - start
+        resume = z_probe >= self.probe
+        rerun = [not resume or c <= z_probe for c in crossings]
+        for k in range(1, len(layers)):
+            if not rerun[k]:
+                continue
+            out, crossings[k] = layers[k].affine(outputs[k - 1], z_probe)
+            # bit for bit, so a kept 0.0 is never a rerun's -0.0
+            if resume and out.tobytes() == outputs[k].tobytes():
+                if isinstance(layers[k], Relu):
+                    # a decoder conv reuses its skip half while this is the same array
+                    layers[k].out = outputs[k]
+                continue
+            outputs[k] = out
+            for reader in self.readers[k]:
+                rerun[reader] = True
+        ran = sum(rerun[1:])
+        self.stages_run += ran
+        self.stages_skipped += len(layers) - 1 - ran
         self.probe = z_probe
         pair = outputs[-1]
         return (np.ascontiguousarray(pair[0, :, :, 0]).reshape(-1),

@@ -11,7 +11,7 @@ from siad.anomaly import AnomalyMask, RoiMask
 from siad.errors import NumericalDiagnosticError
 from siad.inference import NoiseModel, contrast_vector, line_decomposition
 from siad.model import ArchitectureSpec, init_weights, reconstruct, zero_weights
-from siad.ops import MaxPool2, Relu
+from siad.ops import MaxPool2, Relu, UpConv
 from siad.parametric import AffineLine, _LinePlan, parametric_infer, scan_linear_pieces
 from siad.synth import gen_null_cohort
 
@@ -165,8 +165,18 @@ def _assert_same_as_fresh(plan, line, cond, w, z):
     return got
 
 
+# the architectures of `test_every_probe_of_a_scan_matches_a_fresh_plan`
+_SCAN_CASES = [
+    (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 0),
+    (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 1),
+    (ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2), 2),
+]
+
+
 class TestStageCache:
-    """Resuming at the first stage whose crossing was reached is exact."""
+    """The stage cache is exact: a stage reruns only when the probe reached
+    its crossing or one of its inputs changed, and what it keeps equals a
+    fresh plan's bit for bit."""
 
     @pytest.mark.parametrize("arch,seed", [
         (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 0),
@@ -228,3 +238,81 @@ class TestStageCache:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("arch,seed", _SCAN_CASES)
+    def test_every_stage_matches_a_fresh_plan_at_every_probe(self, arch, seed):
+        w = init_weights(arch, seed)
+        rng = np.random.default_rng(seed)
+        cond = rng.normal(size=2)
+        n = arch.n_pixels
+        line = AffineLine(rng.normal(size=n), rng.normal(size=n), (-3.0, 3.0))
+        plan = _LinePlan(line, cond, w)
+
+        def evaluate(z):
+            got = plan.evaluate(z)
+            fresh = _LinePlan(line, cond, w)
+            fresh.evaluate(z)
+            for k, (out, want) in enumerate(zip(plan.outputs, fresh.outputs)):
+                assert out.tobytes() == want.tobytes(), f"stage {k} output at z={z!r}"
+            assert np.array(plan.crossings).tobytes() == np.array(fresh.crossings).tobytes()
+            return got
+
+        pieces = scan_linear_pieces(evaluate, line.window)
+        assert len(pieces) > 20
+        assert plan.stages_skipped > 0
+
+    def test_desk_null_scan_runs_fewer_stages_than_resuming_at_the_first_reached(self):
+        """`test_desk_null_scan_reuses_stages`'s line.  The rule the cutoff
+        replaced restarted at the first stage whose crossing the probe
+        reached and reran every stage after it; replayed from the plan's own
+        crossings before each probe, it never runs fewer stages, and here it
+        runs more."""
+        arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
+        x = gen_null_cohort(1, 16, 1.0, seed=7)[0]
+        roi = RoiMask.centered_square(16)
+        eta = contrast_vector(AnomalyMask(roi.indices[:4]), roi)
+        line, _ = line_decomposition(x, eta, NoiseModel(1.0))
+        plan = _LinePlan(line, np.zeros(2), init_weights(arch, 7))
+        z_dependent = len(plan.layers) - 1
+        old_rule = probes = 0
+
+        def evaluate(z):
+            nonlocal old_rule, probes
+            start = 1
+            if z >= plan.probe:
+                start = next((k for k, c in enumerate(plan.crossings) if c <= z),
+                             len(plan.crossings))
+            before = plan.stages_run
+            got = plan.evaluate(z)
+            assert plan.stages_run - before <= len(plan.layers) - start
+            old_rule += len(plan.layers) - start
+            probes += 1
+            return got
+
+        scan_linear_pieces(evaluate, line.window)
+        assert plan.stages_run < old_rule
+        assert plan.stages_run + plan.stages_skipped == probes * z_dependent
+
+    def test_decoder_conv_keeps_its_skip_half_when_the_skip_relu_reruns_unchanged(self):
+        """Forcing a skip relu and its decoder conv to rerun at the same
+        probe gives the relu an equal output: the plan keeps the old array,
+        and the decoder conv does not recompute its skip half."""
+        arch = ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2)
+        w = init_weights(arch, 3)
+        rng = np.random.default_rng(3)
+        cond = rng.normal(size=2)
+        line = AffineLine(rng.normal(size=64), rng.normal(size=64), (-3.0, 3.0))
+        plan = _LinePlan(line, cond, w)
+        z = 0.25
+        plan.evaluate(z)
+        decoder = [k for k, layer in enumerate(plan.layers) if isinstance(layer, UpConv)]
+        assert len(decoder) == 3
+        for k in decoder:
+            skip = plan.layers.index(plan.layers[k].skip)
+            kept, skip_half = plan.outputs[skip], plan.layers[k].skip_conv
+            plan.crossings[skip] = plan.crossings[k] = z
+            before = plan.stages_run
+            _assert_same_as_fresh(plan, line, cond, w, z)
+            assert plan.stages_run - before >= 2
+            assert plan.outputs[skip] is kept and plan.layers[skip].out is kept
+            assert plan.layers[k].skip_conv is skip_half

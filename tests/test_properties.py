@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from siad.anomaly import RoiMask, Threshold, detect
 from siad.inference import (NoiseModel, _matching_runs, contrast_vector,
-                            line_decomposition, sigma_of_contrast, truncation_region)
+                            line_decomposition, sigma_of_contrast, truncated_normal_pvalue,
+                            truncation_region)
 from siad.model import ArchitectureSpec, init_weights, reconstruct
 from siad.parametric import PROGRESS_TOL, AffineLine, _LinePlan, parametric_infer
 
@@ -242,3 +243,42 @@ def test_crossings_within_progress_tol_of_the_probe(net, spread, center, z_shift
     assert trunc.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
     piece = next(p for p in parametric_infer(line, cond, weights) if p.lo <= z_obs <= p.hi)
     assert np.max(np.abs(piece.at(z_obs) - want)) < 1e-9
+
+
+# most lines have no two ROI errors that close, so most draws are filtered
+@settings(PROPERTY_SETTINGS, suppress_health_check=[HealthCheck.too_slow,
+                                                    HealthCheck.filter_too_much])
+@given(networks(), st.sampled_from([0.0, 1e-15, 1e-14, 1e-13]), st.floats(-2.0, 2.0),
+       st.floats(-2.0 * PROGRESS_TOL, 2.0 * PROGRESS_TOL),
+       st.sampled_from([-1e-15, -1e-16, 0.0, 1e-16, 1e-15]))
+def test_threshold_within_rounding_of_a_roi_error_gives_a_pvalue(net, spread, center,
+                                                                  z_shift, nudge):
+    """The line of the test above, with the threshold between the two
+    closest ROI errors at the observation (at most 1e-13 apart), so
+    rounding decides the mask: the scan cannot place those pixels, and
+    the truncation set must still cover z_obs and give a p-value."""
+    weights, _, rng = net
+    arch, side = weights.arch, weights.arch.side
+    weights.params["enc0_b"] = np.zeros_like(weights.params["enc0_b"])
+    cond = np.zeros(arch.cond_count)
+    b = _image(rng, side, False)
+    line = AffineLine(-center * b + spread * rng.normal(size=b.size), b,
+                      (center - 3.0, center + 3.0))
+    off, slope = _LinePlan(line, cond, weights).outputs[0]
+    sloped = slope != 0.0
+    crossings = -off[sloped] / slope[sloped]
+    assume(np.sum(np.abs(crossings - center) <= PROGRESS_TOL) >= 2)
+
+    z_obs = center + z_shift
+    x = line.at(z_obs)
+    roi = RoiMask.centered_square(side, 0.5)
+    err = np.abs(x - reconstruct(x.reshape(side, side), cond, weights).reshape(-1))[roi.member]
+    gaps = np.abs(err[:, None] - err[None, :]) + np.eye(err.size)
+    i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    assume(gaps[i, j] <= 1e-13)
+    threshold = Threshold(value=float(0.5 * (err[i] + err[j]) + nudge),
+                          source_quantile=0.95, calibration_count=err.size)
+    mask = detect(x, cond, weights, threshold, roi)
+    trunc = truncation_region(line, cond, weights, threshold, roi, mask, z_obs)
+    assert trunc.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
+    assert 0.0 <= truncated_normal_pvalue(z_obs, 1.0, trunc) <= 1.0
