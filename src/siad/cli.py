@@ -226,11 +226,12 @@ def _evaluate(cfg: RunConfig, paths: _Paths, images, conds):
 def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
     if paths.manifest.exists() and not args.force:
         raise DataError(f"{paths.manifest} exists; pass --force to overwrite")
-    paths.images.mkdir(parents=True, exist_ok=True)
+    # every setting is checked, and the cohort made, before anything is written
     roi = RoiMask.centered_square(cfg.side, cfg.roi_fraction)
-    write_roi(paths.roi, roi, cfg.side)
     spec = _cohort_spec(cfg, roi)
     subjects = make_cohort(spec, roi.member)
+    paths.images.mkdir(parents=True, exist_ok=True)
+    write_roi(paths.roi, roi, cfg.side)
     entries = []
     truth_path = ""
     if spec.signal is not None:

@@ -4,7 +4,7 @@ Every layer works on float64 arrays laid out channels-last with a leading
 batch axis, ``(batch, height, width, channels)``.  Convolutions, the dense
 latent head and nearest upsampling are linear (affine with their biases);
 relu and 2x2 max pooling are piecewise linear, with a sign pattern and a
-window-winner pattern.  Each layer has three methods, and for a fixed
+window-winner pattern.  Each layer has three passes, and for a fixed
 pattern all three apply the same linear map; they differ only in how the
 pattern is chosen:
 
@@ -14,11 +14,14 @@ pattern is chosen:
   gradient with respect to the layer's input, leaves the gradients of its
   weights in ``grads`` and drops what ``forward`` kept for it;
 * ``affine(pair, z_probe)`` runs on the values ``off + slope*z`` along a
-  line, stacked as a batch of two rows (offset, slope).  It chooses the
-  pattern at ``z_probe``, resolving exact zeros and ties by slope so the
-  pattern holds just to the right of the probe.  It returns the output pair
-  and the nearest ``z > z_probe`` at which the pattern changes (inf for a
-  linear layer).  Biases and conditions enter the offset row only.
+  line, stacked as a batch of two rows (offset, slope), and returns the
+  output pair and the nearest ``z > z_probe`` at which the pattern changes.
+  For a linear layer it is ``forward`` (crossing inf); only `Relu` and
+  `MaxPool2` define their own, which choose the pattern at ``z_probe``,
+  resolving exact zeros and ties by slope so it holds just to its right.
+
+Biases and conditions enter the first ``len(cond)`` rows of a batch (every
+row if none are bound): all B rows of B images, the offset row of a pair.
 
 A layer is built from its place in the architecture (names and sizes, which
 give its weight ``shapes``) and then bound to weights with ``bind``, which
@@ -41,8 +44,9 @@ windows of whichever side is narrower.  The decoder's `UpConv` never builds
 its upsample + skip concatenation: its output is the convolution of the
 skip half (with the bias) plus that of the up half, which is one GEMM at
 the input's resolution whose product planes are upsampled into the padded
-grid before the shifted sum.  Along a line, the skip half's output is
-reused for as long as the skip relu's output is the same array.
+grid before the shifted sum.  Its forward keeps the skip half's output
+for as long as the skip relu's output is the same array, which along a
+line spares it while only its upsampled input changes.
 
 2x2 max pooling copies its input once into a competitor-major layout,
 (B, 4, H/2*W/2*C): each of the four places of a window is one contiguous
@@ -66,6 +70,10 @@ class Layer:
     def bind(self, params, cond=None, eps=None):
         """Takes the layer's weights from ``params`` (and, for the latent
         head, the condition rows and latent draws of the pass)."""
+
+    def affine(self, pair, z_probe):
+        """A linear layer's pass along a line: its forward, never a crossing."""
+        return self.forward(pair), np.inf
 
 
 def _pad(x, p):
@@ -116,10 +124,11 @@ def conv2d(x, kmat, bias, biased):
     """Zero-padded "same" convolution (cross-correlation) of a batch.
 
     ``kmat`` is the kernel laid out (C_in, k, k, C_out); only the first
-    ``biased`` rows of the batch get ``bias``.  The GEMM runs along the
-    narrower channel side: with fewer input than output channels, one GEMM
-    of the gathered k*k windows; otherwise one GEMM of the padded input
-    against all k*k kernel offsets, whose product planes are summed shifted.
+    ``biased`` rows of the batch get ``bias`` (every row for None).  The
+    GEMM runs along the narrower channel side: with fewer input than output
+    channels, one GEMM of the gathered k*k windows; otherwise one GEMM of
+    the padded input against all k*k kernel offsets, whose product planes
+    are summed shifted.
     """
     b, h, w, c_in = x.shape
     k, c_out = kmat.shape[1], kmat.shape[3]
@@ -188,6 +197,7 @@ class Conv(Layer):
         (w_name, _), (b_name, _) = self.shapes
         self.kmat = np.ascontiguousarray(params[w_name].transpose(1, 2, 3, 0))
         self.bias = params[b_name]
+        self.biased = None if cond is None else len(cond)
 
     def _set_grads(self, grad_kmat, grad_bias):
         (w_name, _), (b_name, _) = self.shapes
@@ -195,16 +205,13 @@ class Conv(Layer):
 
     def forward(self, x):
         self.x = x
-        return conv2d(x, self.kmat, self.bias, len(x))
+        return conv2d(x, self.kmat, self.bias, self.biased)
 
     def backward(self, grad):
         grad_x, grad_kmat, grad_bias = conv2d_backward(grad, self.x, self.kmat)
         self._set_grads(grad_kmat, grad_bias)
         self.x = None
         return grad_x
-
-    def affine(self, pair, z_probe):
-        return conv2d(pair, self.kmat, self.bias, 1), np.inf
 
 
 class InputConv(Conv):
@@ -325,7 +332,8 @@ class LatentHead(Layer):
     Flattening follows the channels-first order of the dense weights.  With
     latent draws bound, the code is mu + exp(logvar/2) * eps (the training
     loss's reparameterization), else mu.  The loss's KL term depends only
-    on this layer's outputs, so its backward adds the KL gradient.
+    on this layer's outputs, so its backward adds the KL gradient.  The
+    conditions and all three biases enter the first ``len(cond)`` rows.
     """
 
     def __init__(self, channels, deep, latent, cond_count):
@@ -343,30 +351,27 @@ class LatentHead(Layer):
         self.logvar_mat = np.ascontiguousarray(self.logvar_w.T)
         self.dense_mat = np.ascontiguousarray(self.dense_w.T)
         self.cond, self.eps = cond, eps
+        self.biased = len(cond)
 
-    def _mean(self, x, biased):
-        flat = x.transpose(0, 3, 1, 2).reshape(len(x), -1)
-        mu = flat @ self.mu_mat
-        mu[:biased] += self.mu_b
-        return flat, mu
-
-    def _dense(self, z, biased):
-        latent = z.shape[1]
-        zc = np.zeros((len(z), latent + self.cond.shape[1]))
-        zc[:, :latent] = z
-        zc[:biased, latent:] = self.cond
-        g = zc @ self.dense_mat
-        g[:biased] += self.dense_b
-        return zc, g.reshape(len(z), *self.map_shape).transpose(0, 2, 3, 1)
+    def _linear(self, x, mat, bias):
+        """``x @ mat``, plus ``bias`` in the first ``len(cond)`` rows."""
+        out = x @ mat
+        out[:self.biased] += bias
+        return out
 
     def forward(self, x):
-        self.flat, self.mu = self._mean(x, len(x))
-        self.logvar = self.flat @ self.logvar_mat + self.logvar_b
+        self.flat = x.transpose(0, 3, 1, 2).reshape(len(x), -1)
+        self.mu = self._linear(self.flat, self.mu_mat, self.mu_b)
+        self.logvar = self._linear(self.flat, self.logvar_mat, self.logvar_b)
         z = self.mu
         if self.eps is not None:
             z = self.mu + np.exp(0.5 * self.logvar) * self.eps
-        self.zc, g = self._dense(z, len(x))
-        return g
+        latent = z.shape[1]
+        self.zc = np.zeros((len(x), latent + self.cond.shape[1]))
+        self.zc[:, :latent] = z
+        self.zc[:self.biased, latent:] = self.cond
+        g = self._linear(self.zc, self.dense_mat, self.dense_b)
+        return g.reshape(len(x), *self.map_shape).transpose(0, 2, 3, 1)
 
     def backward(self, grad):
         b = len(grad)
@@ -383,10 +388,6 @@ class LatentHead(Layer):
         d_flat = d_mu @ self.mu_w + d_logvar @ self.logvar_w
         return d_flat.reshape(b, *self.map_shape).transpose(0, 2, 3, 1)
 
-    def affine(self, pair, z_probe):
-        _, mu = self._mean(pair, 1)
-        return self._dense(mu, 1)[1], np.inf
-
 
 class UpConv(Conv):
     """Nearest 2x upsampling of the input, concatenation with the output of
@@ -397,10 +398,11 @@ class UpConv(Conv):
     skip (with the bias) plus that of the upsampled input.  Upsampling
     commutes with the per-pixel GEMM, so the second is one GEMM at the input's
     resolution whose product planes are upsampled into the padded grid
-    before the shifted sum.  Along a line, the skip half's output is reused
-    for as long as ``skip.out`` is the same array.  A line plan that reruns
-    the skip relu to a bit-for-bit equal output puts the old array back in
-    ``skip.out``, so the reuse outlasts such a rerun.
+    before the shifted sum.  The skip half's output (``skip_conv``) is kept
+    and reused for as long as ``skip.out`` is the same array (``skip_in``),
+    so along a line, where the pair changes far more often than the skip
+    relu's output, most passes compute only the up half; ``backward``
+    drops it.
     """
 
     def __init__(self, name, c_in, c_out, k, skip: Relu):
@@ -428,14 +430,17 @@ class UpConv(Conv):
 
     def forward(self, x):
         self.x = x
-        return self._add_up(x, conv2d(self.skip.out, self.skip_kmat, self.bias, len(x)))
+        if self.skip.out is not self.skip_in:
+            self.skip_in = self.skip.out
+            self.skip_conv = conv2d(self.skip_in, self.skip_kmat, self.bias, self.biased)
+        return self._add_up(x, self.skip_conv.copy())
 
     def backward(self, grad):
         """The skip half's gradient is left in ``skip.skip_grad``.  The up
         half's windows of the padded output gradient are 2x2 box sums read
         at every other pixel: the adjoint of nearest upsampling."""
         self.skip.skip_grad, grad_skip, grad_bias = conv2d_backward(
-            grad, self.skip.out, self.skip_kmat)
+            grad, self.skip_in, self.skip_kmat)
         _, h, w, _ = self.x.shape
         k = self.kmat.shape[1]
         g = _pad(grad, k // 2)
@@ -444,11 +449,5 @@ class UpConv(Conv):
         grad_up = _kernel_grad_from_taps(box_taps, self.x, self.up_kmat)
         self._set_grads(np.concatenate([grad_up, grad_skip]), grad_bias)
         grad_x = _input_grad_from_taps(box_taps, self.up_kmat, self.x.shape)
-        self.x = None
+        self.x = self.skip_in = self.skip_conv = None
         return grad_x
-
-    def affine(self, pair, z_probe):
-        if self.skip.out is not self.skip_in:
-            self.skip_in = self.skip.out
-            self.skip_conv = conv2d(self.skip_in, self.skip_kmat, self.bias, 1)
-        return self._add_up(pair, self.skip_conv.copy()), np.inf

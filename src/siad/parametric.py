@@ -12,8 +12,9 @@ That crossing ends the piece and starts the next one.
 The stages of the forward pass are the model's layer list (each conv, relu
 and maxpool of the encoder, the latent head, the dense relu, each decoder
 upsample + skip + conv and each decoder relu), run by their ``affine``
-method, and the plan for a line keeps every stage's output and crossing
-from the previous probe.  A stage's output depends only on its inputs (the
+pass (for a linear layer, its ``forward`` on the offset/slope pair), and
+the plan for a line keeps every stage's output and crossing from the
+previous probe.  A stage's output depends only on its inputs (the
 previous stage's output and, for a decoder conv, its skip relu's output)
 and on the pattern it fixes at the probe, and that pattern is the same at
 every ``z`` between the previous probe and the stage's crossing.  (Where
@@ -47,8 +48,8 @@ channels-last layout; each convolution is one GEMM along its narrower
 channel side (gathered windows, or product planes summed shifted in one
 strided reduction) against a kernel laid out once per line, when the plan
 binds the layers; a decoder conv adds the convolution of its skip half,
-which it keeps for as long as the output of the encoder relu it reads is
-unchanged, to one GEMM of its upsampled half at the lower resolution;
+which it keeps for as long as the encoder relu it reads has not rerun, to
+one GEMM of its upsampled half at the lower resolution;
 pooling reads its windows in one competitor-major copy; and a relu or
 pool divides for crossings only at the units that flip.  Batching
 several lines or subjects in lockstep does not pay here: a step's cost
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import NumericalDiagnosticError, ShapeError
 from .model import ModelWeights, _rows, network, network_input
-from .ops import Relu, UpConv
+from .ops import UpConv
 
 PIECE_CAP = 10 ** 6  # a scan with more pieces is a numerical fault
 PROGRESS_TOL = 1e-12
@@ -120,13 +121,15 @@ class _LinePlan:
 
     On a probe at or to the right of the previous one, ``evaluate`` reruns
     stage ``k`` only if the probe reached its crossing or a stage it reads
-    changed; a rerun to a bit-for-bit equal output is not a change, and
-    the old array is kept.  A kept output and crossing are exact because
+    changed; a rerun to a bit-for-bit equal output is not a change, and the
+    plan keeps the old array.  A kept output and crossing are exact because
     the stage's inputs are the same arrays and its pattern holds up to its
-    crossing.  A probe to the left reruns every stage.  ``stages_run``
-    counts the stages ``evaluate`` has computed, ``stages_skipped`` those
-    it kept; together they are the probes times the stages after the
-    first.
+    crossing.  The plan never writes layer state: after an equal rerun a
+    skip relu's ``out`` is the new array, and the decoder conv reading it
+    recomputes its skip half (to the same bits).  A probe to the left
+    reruns every stage.  ``stages_run`` counts the stages ``evaluate`` has
+    computed, ``stages_skipped`` those it kept; together they are the
+    probes times the stages after the first.
 
     No stage refers back to the plan: such a reference cycle would keep
     every stage output alive until the cyclic garbage collector ran, tens
@@ -172,9 +175,6 @@ class _LinePlan:
             out, crossings[k] = layers[k].affine(outputs[k - 1], z_probe)
             # bit for bit, so a kept 0.0 is never a rerun's -0.0
             if resume and out.tobytes() == outputs[k].tobytes():
-                if isinstance(layers[k], Relu):
-                    # a decoder conv reuses its skip half while this is the same array
-                    layers[k].out = outputs[k]
                 continue
             outputs[k] = out
             for reader in self.readers[k]:

@@ -90,7 +90,6 @@ class TrainConfig:
     lr: float = 1e-5
     batch_size: int = 16
     patience: int = 20
-    min_delta: float = 0.0
     holdout_fraction: float = 0.2
     seed: int = 0
 
@@ -118,9 +117,9 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
     """Trains the detector on (image, condition) pairs of healthy subjects.
 
     A seeded fraction of the dataset is held out; training stops once the
-    held-out loss has not improved by more than ``min_delta`` for
-    ``patience`` consecutive epochs, and the weights from the best held-out
-    epoch are returned.  Epoch 0 in the history reports the initial weights.
+    held-out loss has not fallen below its best for ``patience``
+    consecutive epochs, and the weights from the best held-out epoch are
+    returned.  Epoch 0 in the history reports the initial weights.
     """
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -164,8 +163,7 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
             epoch_losses.append(loss * scale)
 
         h_loss = mean_loss(weights, hold_idx)
-        improved = h_loss < best_loss - config.min_delta
-        if improved:
+        if h_loss < best_loss:
             best_loss = h_loss
             best_weights = weights.copy()
             best_epoch = epoch

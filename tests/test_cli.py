@@ -203,6 +203,17 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "taken" in err
 
+    @pytest.mark.parametrize("setting", ["signal_shape = bogus", "signal_size = 0",
+                                         "signal_size = -2", "signal_size = 100"])
+    def test_bad_signal_setting_writes_nothing(self, tmp_path, capsys, setting):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_CONFIG.replace("signal_size = 2", setting))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "Traceback" not in err and list(out.glob("*")) == []
+
     def test_generate_refuses_overwrite_without_force(self, pipeline_dir, capsys):
         out, base = pipeline_dir
         assert main(["generate", *base]) == EXIT_DATA

@@ -8,17 +8,19 @@ import pytest
 
 from siad.errors import ShapeError
 from siad.model import ArchitectureSpec, ModelWeights, init_weights
-from siad.ops import Conv, MaxPool2, Relu, UpConv, _shift_sum, conv2d, conv2d_backward
+from siad.ops import (Conv, LatentHead, MaxPool2, Relu, UpConv, _shift_sum, conv2d,
+                      conv2d_backward)
 
 # (c_in, c_out): fewer inputs than outputs, as many, more, and one output
 CHANNEL_PAIRS = [(2, 5), (4, 4), (5, 2), (3, 1)]
+ONE_ROW = np.zeros((1, 2))  # the one condition row of a line's offset/slope pair
 
 
-def _conv(kernel, bias):
+def _conv(kernel, bias, cond=None):
     """A conv layer bound to ``kernel`` (O, C, k, k) and ``bias`` (O,)."""
     c_out, c_in, k, _ = kernel.shape
     layer = Conv("c", c_in, c_out, k)
-    layer.bind({"c_w": kernel, "c_b": bias})
+    layer.bind({"c_w": kernel, "c_b": bias}, cond)
     return layer
 
 
@@ -213,7 +215,7 @@ class TestConvFactorings:
         assert peak < 4 * 34 * 34 * 9 * 32 * 8
 
 
-def _decoder(rng, c, c_out, k, skip_shape):
+def _decoder(rng, c, c_out, k, skip_shape, cond=None):
     """An UpConv reading a skip relu of ``skip_shape`` with random weights,
     the (O, 2c, k, k) kernel and the bias."""
     skip = Relu()
@@ -221,7 +223,7 @@ def _decoder(rng, c, c_out, k, skip_shape):
     layer = UpConv("u", 2 * c, c_out, k, skip)
     kernel = rng.normal(size=(c_out, 2 * c, k, k))
     bias = rng.normal(size=c_out)
-    layer.bind({"u_w": kernel, "u_b": bias})
+    layer.bind({"u_w": kernel, "u_b": bias}, cond)
     return layer, kernel, bias
 
 
@@ -246,9 +248,9 @@ class TestUpConv:
 
     def test_affine_matches_reference_and_reuses_the_skip_half(self):
         rng = np.random.default_rng(40)
-        layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3))
+        layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3), ONE_ROW)
         fresh = UpConv("u", 6, 2, 3, layer.skip)
-        fresh.bind({"u_w": kernel, "u_b": bias})
+        fresh.bind({"u_w": kernel, "u_b": bias}, ONE_ROW)
         for step in range(4):
             if step == 2:  # the skip relu recomputes: a new output array
                 layer.skip.affine(rng.normal(size=(2, 6, 8, 3)), 0.0)
@@ -293,6 +295,43 @@ class TestUpConv:
                 flat[idx] = orig
                 assert grad.reshape(-1)[idx] == pytest.approx((up - down) / (2 * h),
                                                               rel=1e-6, abs=1e-8)
+
+
+class TestBiasRows:
+    """Bound with one condition row, a linear layer biases (and conditions)
+    row 0 of a two-row batch only, as a line's offset/slope pair needs."""
+
+    def test_conv(self):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(2, 5, 4, 3))
+        kernel, bias = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        np.testing.assert_allclose(_conv(kernel, bias, ONE_ROW).forward(x),
+                                   _reference_conv(x, kernel, bias, 1), rtol=0, atol=1e-12)
+
+    def test_decoder_conv(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(2, 3, 4, 3))
+        layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3), ONE_ROW)
+        np.testing.assert_allclose(
+            layer.forward(x), _reference_conv(_up_cat(x, layer.skip.out), kernel, bias, 1),
+            rtol=0, atol=1e-12)
+
+    def test_latent_head(self):
+        rng = np.random.default_rng(62)
+        head = LatentHead(3, 2, 4, 2)
+        params = {name: rng.normal(size=shape) for name, shape in head.shapes}
+        cond = rng.normal(size=(1, 2))
+        head.bind(params, cond)
+        x = rng.normal(size=(2, 2, 2, 3))
+        out = head.forward(x)
+        flat = x.transpose(0, 3, 1, 2).reshape(2, -1)
+        mu = flat @ params["mu_w"].T + [params["mu_b"], np.zeros(4)]
+        logvar = flat @ params["logvar_w"].T + [params["logvar_b"], np.zeros(4)]
+        zc = np.concatenate([mu, [cond[0], np.zeros(2)]], axis=1)
+        g = zc @ params["dec_dense_w"].T + [params["dec_dense_b"], np.zeros(12)]
+        for got, want in ((head.mu, mu), (head.logvar, logvar),
+                          (out, g.reshape(2, 3, 2, 2).transpose(0, 2, 3, 1))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestRelu:
