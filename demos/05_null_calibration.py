@@ -13,7 +13,8 @@ from siad import (ArchitectureSpec, NoiseModel, RoiMask, TrainConfig,
                   calibrate_threshold, gen_null_cohort, ks_statistic,
                   reconstruct, train)
 from siad.anomaly import reconstruction_error
-from siad.experiments import evaluate_cohort, histogram_counts, ks_critical, tested_pvalues
+from siad.experiments import (HISTOGRAM_BINS, evaluate_cohort, histogram_counts, ks_critical,
+                              tested_pvalues)
 from siad.synth import keyed_rng
 
 N_NULL = 150  # keep the demo quick; the acceptance suite uses 1000
@@ -43,12 +44,12 @@ for method in ("naive", "selective"):
     ks = ks_statistic(pvals)
     crit = ks_critical(len(pvals))
     frac = float(np.mean(pvals <= 0.05))
-    bars = histogram_counts(pvals, bins=10)
+    bars = histogram_counts(pvals)
     print(f"\n{method} p-values ({len(pvals)} tested)")
     print(f"  KS vs uniform: {ks:.3f} (1% critical value {crit:.3f}) "
           f"{'OK' if ks < crit else 'REJECTED'}")
     print(f"  fraction <= 0.05: {frac:.3f} (should be about 0.05)")
     peak = bars.max()
     for i, count in enumerate(bars):
-        print(f"  [{i / 10:.1f},{(i + 1) / 10:.1f}) "
+        print(f"  [{i / HISTOGRAM_BINS:.2f},{(i + 1) / HISTOGRAM_BINS:.2f}) "
               + "#" * int(round(40 * count / max(peak, 1))))

@@ -142,7 +142,10 @@ def detect(x: np.ndarray, cond, weights: ModelWeights, threshold: Threshold,
     image.
     """
     side = weights.arch.side
-    img = np.asarray(x, dtype=np.float64).reshape(1, side, side)
+    img = np.asarray(x, dtype=np.float64)
+    if img.size != side * side:
+        raise ShapeError(f"image has {img.size} pixels, the model expects {side}x{side}")
+    img = img.reshape(1, side, side)
     recon = reconstruct(img, cond, weights)
     err = reconstruction_error(img, recon)
     return extract_mask(err, threshold, roi)

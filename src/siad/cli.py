@@ -31,8 +31,8 @@ from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
 from .inference import NoiseModel, estimate_noise, ks_statistic
 from .model import ArchitectureSpec, reconstruct
 from .opticalflow import standardize_conditions
-from .synth import (DESK_AGE_RANGE, DESK_GAP_RANGE, CohortSpec, SignalSpec, gen_diseased,
-                    gen_null_cohort, make_cohort)
+from .synth import (CohortSpec, SignalSpec, gen_diseased, gen_null_cohort, make_cohort,
+                    subject_conditions)
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -300,16 +300,13 @@ def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
     return EXIT_OK
 
 
-def _null_conditions(cfg: RunConfig, stats, count: int):
-    """Condition rows for synthesized nulls, standardized with the cohort's
-    ``(means, stds)``."""
+def _synthetic_conditions(cfg: RunConfig, stats, start: int, count: int):
+    """Condition rows of the synthesized images ``start`` to ``start + count - 1``,
+    each drawn at its own index as a cohort subject's are, and standardized
+    with the cohort's ``(means, stds)``."""
     means, stds = stats
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(cfg.seed),
-                                                    np.uint64(0xA11)]))
-    raw = np.column_stack([
-        rng.uniform(*DESK_AGE_RANGE, size=count),
-        rng.uniform(*DESK_GAP_RANGE, size=count)])
-    return (raw - means) / stds
+    raw = [subject_conditions(cfg.seed, start + i) for i in range(count)]
+    return (np.array(raw) - means) / stds
 
 
 _HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "naive", "selective"]
@@ -319,7 +316,7 @@ def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
     _, stats = _load_cohort(paths)
     images = gen_null_cohort(cfg.n_null, cfg.side, cfg.sigma2, cfg.seed,
                              start_index=10 ** 6)
-    conds = _null_conditions(cfg, stats, cfg.n_null)
+    conds = _synthetic_conditions(cfg, stats, 10 ** 6, cfg.n_null)
     outcomes = _evaluate(cfg, paths, images, conds)
     write_result_rows(paths.null_pvalues,
                       [result_row(f"null-{i:05d}", o) for i, o in enumerate(outcomes)])
@@ -372,7 +369,7 @@ def cmd_experiment_power(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects, stats = _load_cohort(paths)
     if args.amplitudes:
         region = _signal_region(cfg, read_roi(paths.roi))
-        base_conds = _null_conditions(cfg, stats, cfg.n_diseased)
+        base_conds = _synthetic_conditions(cfg, stats, 2 * 10 ** 6, cfg.n_diseased)
         cases = [(amp, gen_diseased(cfg.n_diseased, cfg.side,
                                     SignalSpec(region=region, amplitude=amp,
                                                shape=cfg.signal_shape),
@@ -504,9 +501,9 @@ def main(argv=None) -> int:
     try:
         overrides = {"seed": args.seed, "workers": args.workers, "alphas": alphas}
         cfg = load_config(args.preset, args.config, overrides)
-        paths = _Paths(args.out)
-        paths.out.mkdir(parents=True, exist_ok=True)
-        return args.run(cfg, paths, args)
+        if args.out.exists() and not args.out.is_dir():
+            raise DataError(f"--out {args.out} is not a directory")
+        return args.run(cfg, _Paths(args.out), args)
     except NumericalDiagnosticError as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

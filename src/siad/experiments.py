@@ -21,6 +21,7 @@ NAIVE_ALPHA = 0.05  # fixed level for the uncorrected and Bonferroni rows
 KS_COEFFICIENT = 1.63  # asymptotic KS critical value times sqrt(n) at the 1% level
 BINOMIAL_CONFIDENCE = 0.975  # one-sided confidence of binomial_upper_bound
 SIGN_TEST_LEVEL = 0.05  # level at which the paired and monotone gaps are significant
+HISTOGRAM_BINS = 20  # equal-width bins of the p-value histograms
 
 _WORKER_STATE = {}  # selective_pvalue's keyword arguments, set once per worker
 
@@ -101,10 +102,10 @@ def tested_pvalues(outcomes, which: str) -> np.ndarray:
                      if o.status == STATUS_TESTED], dtype=np.float64)
 
 
-def histogram_counts(pvals, bins: int = 20) -> np.ndarray:
-    """Counts over equal-width bins of [0, 1]."""
+def histogram_counts(pvals) -> np.ndarray:
+    """Counts over HISTOGRAM_BINS equal-width bins of [0, 1]."""
     counts, _ = np.histogram(np.asarray(pvals, dtype=np.float64),
-                             bins=bins, range=(0.0, 1.0))
+                             bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return counts
 
 

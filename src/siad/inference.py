@@ -91,10 +91,6 @@ class TestOutcome:
     truncation: TruncationSet | None = None
 
     @property
-    def tested(self) -> bool:
-        return self.status == STATUS_TESTED
-
-    @property
     def mask_size(self) -> int:
         return len(self.mask)
 

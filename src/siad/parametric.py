@@ -193,9 +193,9 @@ def scan_linear_pieces(eval_fn, window):
     """Generic left-to-right scan over a piecewise-linear family.
 
     ``eval_fn(z_probe)`` must return ``(offset, slope, next_crossing)`` for
-    the pattern valid at ``z_probe``.  Returns (lo, hi, offset, slope)
-    tuples covering the window without gaps or overlaps; more than
-    ``PIECE_CAP`` of them raise ``NumericalDiagnosticError``.
+    the pattern valid at ``z_probe``.  Returns ``PiecewisePiece``s, sorted
+    and sharing endpoints, that tile the window; more than ``PIECE_CAP`` of
+    them raise ``NumericalDiagnosticError``.
     """
     lo, hi = float(window[0]), float(window[1])
     pieces = []
@@ -206,23 +206,19 @@ def scan_linear_pieces(eval_fn, window):
                 f"piece cap {PIECE_CAP} exceeded while scanning [{lo}, {hi}]")
         if hi - z_lo <= 2 * PROGRESS_TOL:
             off, slope, _ = eval_fn(0.5 * (z_lo + hi))
-            pieces.append((z_lo, hi, off, slope))
+            pieces.append(PiecewisePiece(z_lo, hi, off, slope))
             break
         z_probe = z_lo + PROGRESS_TOL
         off, slope, crossing = eval_fn(z_probe)
         z_hi = min(crossing, hi)
-        pieces.append((z_lo, z_hi, off, slope))
+        pieces.append(PiecewisePiece(z_lo, z_hi, off, slope))
         z_lo = z_hi
     return pieces
 
 
 def parametric_infer(line: AffineLine, cond, weights: ModelWeights) -> list:
-    """Decomposes the window into pieces with exact reconstruction coefficients.
-
-    The returned pieces are sorted, share endpoints, and tile the window; on
-    each piece the deterministic reconstruction of ``line.at(z)`` equals
-    ``recon_offset + recon_slope * z``.
+    """The pieces of ``scan_linear_pieces`` over the line's window, with
+    exact reconstruction coefficients: on each piece the deterministic
+    reconstruction of ``line.at(z)`` equals ``recon_offset + recon_slope * z``.
     """
-    plan = _LinePlan(line, cond, weights)
-    raw = scan_linear_pieces(plan.evaluate, line.window)
-    return [PiecewisePiece(lo, hi, off, slope) for lo, hi, off, slope in raw]
+    return scan_linear_pieces(_LinePlan(line, cond, weights).evaluate, line.window)

@@ -139,13 +139,12 @@ def gen_diseased(count: int, side: int, signal: SignalSpec, sigma2: float,
 
 @dataclass(frozen=True)
 class MotionSpec:
-    """Ground-truth motion between the two frames of a synthetic pair."""
+    """Ground-truth motion between the two frames of a synthetic pair:
+    translation along x, or dilation about the image centre."""
 
     kind: str = "none"          # none | translate | dilate
     dx: float = 0.0             # pixels per year (translate)
-    dy: float = 0.0
     rate: float = 0.0           # relative expansion per year (dilate)
-    center: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("none", "translate", "dilate"):
@@ -161,11 +160,12 @@ class SyntheticPair:
     true_v: np.ndarray
 
 
-def _blob_field(rng: np.random.Generator, side: int, n_blobs: int = 3):
-    """Sum-of-Gaussians intensity field, returned as a closure over (y, x)."""
-    centers = rng.uniform(0.25 * side, 0.75 * side, size=(n_blobs, 2))
-    widths = rng.uniform(side / 10.0, side / 5.0, size=n_blobs)
-    amps = rng.uniform(0.5, 1.5, size=n_blobs)
+def _blob_field(rng: np.random.Generator, side: int):
+    """Sum of three Gaussians as an intensity field, returned as a closure
+    over (y, x)."""
+    centers = rng.uniform(0.25 * side, 0.75 * side, size=(3, 2))
+    widths = rng.uniform(side / 10.0, side / 5.0, size=3)
+    amps = rng.uniform(0.5, 1.5, size=3)
 
     def evaluate(yy, xx):
         total = np.zeros_like(yy, dtype=np.float64)
@@ -199,12 +199,11 @@ def gen_image_pairs(count: int, side: int, motion: MotionSpec, seed: int,
             true_u = np.zeros_like(first)
             true_v = np.zeros_like(first)
         elif motion.kind == "translate":
-            shift_x, shift_y = motion.dx * gap, motion.dy * gap
-            second = blob(yy - shift_y, xx - shift_x)
+            second = blob(yy, xx - motion.dx * gap)
             true_u = np.full_like(first, motion.dx)
-            true_v = np.full_like(first, motion.dy)
+            true_v = np.zeros_like(first)
         else:
-            cy, cx = motion.center if motion.center else ((side - 1) / 2.0,) * 2
+            cy = cx = (side - 1) / 2.0
             factor = 1.0 + motion.rate * gap
             second = blob(cy + (yy - cy) / factor, cx + (xx - cx) / factor)
             true_u = motion.rate * (xx - cx)
@@ -214,8 +213,9 @@ def gen_image_pairs(count: int, side: int, motion: MotionSpec, seed: int,
     return out
 
 
-def _conditions(seed: int, tag_index: int):
-    rng = keyed_rng(seed, _TAG_CONDITIONS, tag_index)
+def subject_conditions(seed: int, index: int):
+    """Age and scan gap of the synthetic subject at ``index``."""
+    rng = keyed_rng(seed, _TAG_CONDITIONS, index)
     return float(rng.uniform(*DESK_AGE_RANGE)), float(rng.uniform(*DESK_GAP_RANGE))
 
 
@@ -247,7 +247,7 @@ def make_cohort(spec: CohortSpec, roi_member: np.ndarray | None = None):
                                      start_index=offset)
             truth = None
         for j, img in enumerate(images):
-            age, gap = _conditions(spec.seed, offset + j)
+            age, gap = subject_conditions(spec.seed, offset + j)
             subjects.append(Subject(id=f"{role}-{j:04d}", role=role, image=img,
                                     age=age, time_gap=gap, truth_region=truth))
         offset += count

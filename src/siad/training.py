@@ -13,6 +13,7 @@ same seed reproduces the same final weights bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class TrainConfig:
     lr: float = 1e-5
     batch_size: int = 16
     patience: int = 20
-    holdout_fraction: float = 0.2
     seed: int = 0
+    holdout_fraction: ClassVar[float] = 0.2  # share of the dataset held out
 
     def __post_init__(self):
         if not self.batch_size >= 1:

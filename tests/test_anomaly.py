@@ -157,6 +157,12 @@ class TestDetect:
             bumped = x + rng.uniform(-1e-9, 1e-9, size=x.shape)
             assert detect(bumped, COND, w, thr, roi) == base
 
+    @pytest.mark.parametrize("size", [0, 16, 65])
+    def test_image_of_the_wrong_size_is_a_shape_error(self, size):
+        thr = Threshold(value=1.0, source_quantile=0.95, calibration_count=10)
+        with pytest.raises(ShapeError, match="8x8"):
+            detect(np.zeros(size), COND, zero_weights(ARCH), thr, RoiMask.centered_square(8))
+
     def test_planted_anomaly_is_detected(self):
         w = zero_weights(ARCH)
         roi = RoiMask.centered_square(8)

@@ -12,7 +12,7 @@ import pytest
 from siad import parametric
 from siad.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig,
                       _parse_value, main)
-from siad.fileio import read_noise, read_result_rows, read_threshold
+from siad.fileio import read_noise, read_result_rows, read_threshold, write_map
 
 TINY_CONFIG = """
 [cohort]
@@ -212,7 +212,14 @@ class TestUsageAndErrors:
         assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
-        assert "Traceback" not in err and list(out.glob("*")) == []
+        assert "Traceback" not in err and not out.exists()
+
+    def test_command_failing_on_a_fresh_out_creates_nothing(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert main(["train", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_generate_refuses_overwrite_without_force(self, pipeline_dir, capsys):
         out, base = pipeline_dir
@@ -338,6 +345,15 @@ class TestTestCommand:
         assert main(["test", *base, "--subject", "nobody"]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_map_of_the_wrong_size_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir[0], run)
+        write_map(run / "images" / "inference-0000.bin", np.zeros((4, 4)))
+        assert main(["test", "--config", str(run / "config.ini"), "--out", str(run),
+                     "--subject", "inference-0000"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+
 
 class TestExperiments:
     def test_null_experiment_outputs(self, pipeline_dir, capsys):
@@ -355,6 +371,20 @@ class TestExperiments:
         with open(out / "null_ks.csv", newline="") as fh:
             ks = list(csv.DictReader(fh))
         assert {r["method"] for r in ks} == {"naive", "selective"}
+
+    def test_null_rows_do_not_depend_on_the_null_count(self, pipeline_dir, tmp_path, capsys):
+        """Null i's image and conditions are drawn at its own index, so the
+        first rows of a short run are those of a long one."""
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir[0], run)
+        config = run / "config.ini"
+        rows = {}
+        for n_null in (4, 10):
+            config.write_text(TINY_CONFIG.replace("n_null = 10", f"n_null = {n_null}"))
+            assert main(["experiment-null", "--config", str(config), "--out", str(run)]) == EXIT_OK
+            rows[n_null] = read_result_rows(run / "null_pvalues.csv")
+        capsys.readouterr()
+        assert len(rows[4]) == 4 and rows[10][:4] == rows[4]
 
     def test_fdr_experiment_row_sums(self, pipeline_dir, capsys):
         out, base = pipeline_dir

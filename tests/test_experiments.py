@@ -73,7 +73,7 @@ class TestStatHelpers:
     def test_histogram_counts_sum(self):
         rng = np.random.default_rng(3)
         pv = rng.uniform(size=200)
-        counts = histogram_counts(pv, bins=20)
+        counts = histogram_counts(pv)
         assert counts.sum() == 200 and counts.size == 20
 
     def test_ks_critical_value(self):

@@ -29,13 +29,13 @@ class TestReluAffine:
             lambda z: _relu_affine(np.array([1.0]), np.array([2.0]), z), (-5.0, 5.0))
         assert len(pieces) == 2
         lo_piece, hi_piece = pieces
-        assert lo_piece[0] == -5.0
-        assert lo_piece[1] == pytest.approx(-0.5, abs=1e-9)
-        np.testing.assert_allclose(lo_piece[2], [0.0])
-        np.testing.assert_allclose(lo_piece[3], [0.0])
-        assert hi_piece[1] == 5.0
-        np.testing.assert_allclose(hi_piece[2], [1.0])
-        np.testing.assert_allclose(hi_piece[3], [2.0])
+        assert lo_piece.lo == -5.0
+        assert lo_piece.hi == pytest.approx(-0.5, abs=1e-9)
+        np.testing.assert_allclose(lo_piece.recon_offset, [0.0])
+        np.testing.assert_allclose(lo_piece.recon_slope, [0.0])
+        assert hi_piece.hi == 5.0
+        np.testing.assert_allclose(hi_piece.recon_offset, [1.0])
+        np.testing.assert_allclose(hi_piece.recon_slope, [2.0])
 
     def test_inactive_unit_with_negative_slope_never_crosses(self):
         _, _, crossing = _relu_affine(np.array([-1.0]), np.array([-2.0]), 0.0)
