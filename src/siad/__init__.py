@@ -5,8 +5,9 @@ selective-inference machinery assigns each detection a p-value that remains
 valid even though the same data chose the tested region.  See the module
 docstrings for the individual layers:
 
-* ``ops`` / ``model`` / ``training`` -- the detector's layers, the network
-  built from them once, its exact gradients, and seeded training.
+* ``ops`` / ``model`` / ``training`` -- the detector's layers (the latent
+  head gives the loss's KL term), the network built from them once, and
+  the ELBO with its exact gradients and seeded training.
 * ``parametric`` -- exact piecewise-linear decomposition of the detector
   along a line, the engine behind the conditional test.
 * ``opticalflow`` -- Horn-Schunck flow and the divergence reduction.
@@ -27,8 +28,8 @@ from .inference import (NoiseModel, TestOutcome, TruncationSet,
                         ks_statistic, line_decomposition, naive_pvalue,
                         selective_pvalue, test_statistic,
                         truncated_normal_pvalue, truncation_region)
-from .model import (ArchitectureSpec, LatentStats, ModelWeights, elbo_loss,
-                    init_weights, reconstruct, zero_weights)
+from .model import (ArchitectureSpec, ModelWeights, init_weights, reconstruct,
+                    zero_weights)
 from .opticalflow import (FlowField, ImagePair, ScalarFlowMap, divergence,
                           horn_schunck, standardize_cohort,
                           standardize_conditions)

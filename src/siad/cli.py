@@ -192,12 +192,18 @@ class _Paths:
         self.histogram_dat = out / "histogram.dat"
 
 
-def _load_cohort(paths: _Paths):
+def _load_cohort(cfg: RunConfig, paths: _Paths):
     """The manifest's entries, each with its image under ``image`` and its
     standardized (age, time_gap) under ``cond``, plus the cohort's
-    condition ``(means, stds)``."""
-    subjects = [dict(e, image=read_map(paths.out / e["path"]))
-                for e in read_cohort_manifest(paths.manifest)]
+    condition ``(means, stds)``.  Each map must be ``side`` x ``side``."""
+    subjects = []
+    for e in read_cohort_manifest(paths.manifest):
+        path = paths.out / e["path"]
+        image = read_map(path)
+        if image.shape != (1, cfg.side, cfg.side):
+            raise DataError(f"{path}: map is {image.shape[1]}x{image.shape[2]}, "
+                            f"the config expects {cfg.side}x{cfg.side}")
+        subjects.append(dict(e, image=image))
     if not subjects:
         raise DataError(f"{paths.manifest}: empty cohort")
     conds, means, stds = standardize_conditions([[s["age"], s["time_gap"]]
@@ -250,7 +256,7 @@ def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects, _ = _load_cohort(paths)
+    subjects, _ = _load_cohort(cfg, paths)
     dataset = list(zip(*_by_role(subjects, "train")))
     config = TrainConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
                          seed=cfg.seed)
@@ -265,7 +271,7 @@ def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects, _ = _load_cohort(paths)
+    subjects, _ = _load_cohort(cfg, paths)
     weights = read_weights(paths.weights)
     roi = read_roi(paths.roi)
     errors = [reconstruction_error(x, reconstruct(x, cond, weights))
@@ -284,7 +290,7 @@ def cmd_calibrate(cfg: RunConfig, paths: _Paths, args) -> int:
 
 def cmd_test(cfg: RunConfig, paths: _Paths, args) -> int:
     subject_id = args.subject
-    subjects, _ = _load_cohort(paths)
+    subjects, _ = _load_cohort(cfg, paths)
     matching = [s for s in subjects if s["id"] == subject_id]
     if not matching:
         raise DataError(f"unknown subject id {subject_id!r}")
@@ -313,7 +319,7 @@ _HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "naive", "selective"]
 
 
 def cmd_experiment_null(cfg: RunConfig, paths: _Paths, args) -> int:
-    _, stats = _load_cohort(paths)
+    _, stats = _load_cohort(cfg, paths)
     images = gen_null_cohort(cfg.n_null, cfg.side, cfg.sigma2, cfg.seed,
                              start_index=10 ** 6)
     conds = _synthetic_conditions(cfg, stats, 10 ** 6, cfg.n_null)
@@ -353,7 +359,7 @@ _SUMMARY_KINDS = [str, float, int, int, int, float]
 
 
 def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
-    subjects, _ = _load_cohort(paths)
+    subjects, _ = _load_cohort(cfg, paths)
     outcomes = _evaluate(cfg, paths, *_by_role(subjects, "inference"))
     summary = rejection_summary(outcomes, cfg.alphas)
     write_rows(paths.fdr, _SUMMARY_HEADER, [_summary_row(r) for r in summary])
@@ -366,7 +372,7 @@ def cmd_experiment_fdr(cfg: RunConfig, paths: _Paths, args) -> int:
 def cmd_experiment_power(cfg: RunConfig, paths: _Paths, args) -> int:
     """Rejection rates on the stored diseased cohort, or on fresh cohorts
     planted at each of ``--amplitudes``."""
-    subjects, stats = _load_cohort(paths)
+    subjects, stats = _load_cohort(cfg, paths)
     if args.amplitudes:
         region = _signal_region(cfg, read_roi(paths.roi))
         base_conds = _synthetic_conditions(cfg, stats, 2 * 10 ** 6, cfg.n_diseased)

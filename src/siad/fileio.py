@@ -81,12 +81,15 @@ def write_map(path, values: np.ndarray):
 
 
 def read_map(path) -> np.ndarray:
-    """Reads a map file back as (1, H, W)."""
+    """Reads a map file back as (1, H, W); every value must be finite."""
     with open(path, "rb") as fh:
         _check_magic(fh, MAP_MAGIC, path)
         h, w = struct.unpack("<II", _read_exact(fh, 8, path, "dimensions"))
         payload = _read_exact(fh, 8 * h * w, path, "pixel data")
-    return np.frombuffer(payload, dtype="<f8").reshape(1, h, w).astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8").reshape(1, h, w).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: map has non-finite values")
+    return values
 
 
 def write_roi(path, roi: RoiMask, side: int):

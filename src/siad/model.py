@@ -12,7 +12,9 @@ the layers in `ops`; the weight names and shapes, the reconstruction, the
 training gradients and the affine line scan all come from that list.
 
 Inference (`reconstruct`) is deterministic: it decodes the latent mean and
-never samples.  Sampling happens only inside the training loss.
+never samples.  Sampling happens only inside the training loss, which is
+not defined here: the latent head gives its KL term (`ops.LatentHead.kl`)
+and `training` adds the residual term.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .ops import Conv, InputConv, LatentHead, MaxPool2, Relu, UpConv
 from .ops import conv2d  # noqa: F401  (perfbench/layers.py traces this name)
 
@@ -134,24 +136,6 @@ class ModelWeights:
         return self.params[name]
 
 
-@dataclass(frozen=True)
-class LatentStats:
-    """Gaussian posterior parameters produced by the encoder."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        logvar = np.asarray(self.logvar, dtype=np.float64)
-        if mu.shape != logvar.shape:
-            raise ShapeError(f"mu {mu.shape} vs logvar {logvar.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
-            raise ShapeError("non-finite latent statistics")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "logvar", logvar)
-
-
 def init_weights(arch: ArchitectureSpec, seed: int) -> ModelWeights:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0x57)]))
@@ -186,35 +170,35 @@ def _rows(values, n: int, width: int, what: str) -> np.ndarray:
 
 def _images(x, arch: ArchitectureSpec) -> np.ndarray:
     """One image (side x side, optionally with a leading 1) or a batch
-    (B, side, side), as a (B, side, side) array."""
+    (B, side, side), as a (B, side, side) array.  Every image enters the
+    network through here, so a non-finite pixel stops it before any
+    arithmetic."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (arch.side, arch.side):
         raise ShapeError(f"image shape {x.shape} does not match side {arch.side}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("image has non-finite pixel values")
     return x.reshape(-1, arch.side, arch.side)
 
 
-def network(weights: ModelWeights, cond: np.ndarray, eps=None) -> list:
-    """The layers of ``weights.arch`` bound to ``weights``, ready to run.
+def network(weights: ModelWeights, x: np.ndarray, cond: np.ndarray, eps=None):
+    """``(layers, h)``: the layers of ``weights.arch`` bound to ``weights``,
+    ready to run, and the first layer's input.
 
-    ``cond`` holds one row of conditions per batch row; for an affine
-    offset/slope pair it holds one row, which only the offset row receives.
-    ``eps`` holds one latent draw per batch row for the training loss;
-    without it the head decodes the latent mean.
+    ``x`` holds (B, side, side) images, which become channel 0 of ``h``,
+    and ``cond`` one row of conditions per batch row, which fill one
+    constant channel each; for an affine offset/slope pair it holds one
+    row, which only the offset row receives.  ``eps`` holds one latent
+    draw per batch row for the training loss; without it the head decodes
+    the latent mean.
     """
     layers = weights.arch.layers()
     for layer in layers:
         layer.bind(weights.params, cond, eps)
-    return layers
-
-
-def network_input(x: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """The first layer's input: the (B, side, side) images as channel 0,
-    then one constant channel per condition, filled in the first
-    ``len(cond)`` rows."""
     h = np.zeros(x.shape + (1 + cond.shape[1],))
     h[..., 0] = x
     h[:len(cond), :, :, 1:] = cond[:, None, None, :]
-    return h
+    return layers, h
 
 
 def forward(x, cond, weights: ModelWeights, eps=None):
@@ -222,21 +206,19 @@ def forward(x, cond, weights: ModelWeights, eps=None):
 
     ``x`` is one image or a batch (see `_images`) and ``cond`` one row of
     conditions per image; ``eps``, if given, one latent draw per image.
-    Returns ``(recon, stats, layers)``: the (B, side, side) reconstruction,
-    the latent statistics with one row per image, and the layers, which
-    keep what their backward passes need.
+    Returns ``(recon, layers)``: the (B, side, side) reconstruction and the
+    layers, which keep what their backward passes need (the latent head
+    also its ``mu`` and ``logvar``, one row per image).
     """
     arch = weights.arch
     x = _images(x, arch)
     cond = _rows(cond, len(x), arch.cond_count, "conditions")
     if eps is not None:
         eps = _rows(eps, len(x), arch.latent_dim, "latent draws")
-    layers = network(weights, cond, eps)
-    h = network_input(x, cond)
+    layers, h = network(weights, x, cond, eps)
     for layer in layers:
         h = layer.forward(h)
-    head = next(layer for layer in layers if isinstance(layer, LatentHead))
-    return h[..., 0], LatentStats(head.mu, head.logvar), layers
+    return h[..., 0], layers
 
 
 def reconstruct(x: np.ndarray, cond, weights: ModelWeights) -> np.ndarray:
@@ -247,26 +229,3 @@ def reconstruct(x: np.ndarray, cond, weights: ModelWeights) -> np.ndarray:
     (1, side, side) array, a batch of B images (B, side, side).
     """
     return forward(x, cond, weights)[0]
-
-
-def kl_divergence(stats: LatentStats) -> float:
-    """Closed-form KL(q(z|x) || N(0, I)) for a diagonal Gaussian posterior,
-    summed over the rows of a batch."""
-    mu, logvar = stats.mu, stats.logvar
-    return float(-0.5 * np.sum(1.0 + logvar - mu ** 2 - np.exp(logvar)))
-
-
-def elbo_loss(x: np.ndarray, recon: np.ndarray, stats: LatentStats) -> float:
-    """Training objective: KL term plus half the squared reconstruction error.
-
-    This is the negated variational bound under a unit-variance Gaussian
-    likelihood, summed over the examples of a batch; both terms are
-    individually exposed for testing (`kl_divergence` and the residual term
-    here).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    recon = np.asarray(recon, dtype=np.float64)
-    if x.shape != recon.shape:
-        raise ShapeError(f"input {x.shape} vs reconstruction {recon.shape}")
-    resid = x - recon
-    return kl_divergence(stats) + 0.5 * float(np.sum(resid * resid))

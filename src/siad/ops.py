@@ -332,8 +332,9 @@ class LatentHead(Layer):
     Flattening follows the channels-first order of the dense weights.  With
     latent draws bound, the code is mu + exp(logvar/2) * eps (the training
     loss's reparameterization), else mu.  The loss's KL term depends only
-    on this layer's outputs, so its backward adds the KL gradient.  The
-    conditions and all three biases enter the first ``len(cond)`` rows.
+    on this layer's mu and logvar, so the layer owns it: ``kl`` gives its
+    value and ``backward`` adds its gradient.  The conditions and all three
+    biases enter the first ``len(cond)`` rows.
     """
 
     def __init__(self, channels, deep, latent, cond_count):
@@ -372,6 +373,12 @@ class LatentHead(Layer):
         self.zc[:self.biased, latent:] = self.cond
         g = self._linear(self.zc, self.dense_mat, self.dense_b)
         return g.reshape(len(x), *self.map_shape).transpose(0, 2, 3, 1)
+
+    def kl(self):
+        """Closed-form KL(q(z|x) || N(0, I)) of the last forward's diagonal
+        Gaussian posterior, summed over its rows."""
+        mu, logvar = self.mu, self.logvar
+        return float(-0.5 * np.sum(1.0 + logvar - mu ** 2 - np.exp(logvar)))
 
     def backward(self, grad):
         b = len(grad)

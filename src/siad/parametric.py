@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDiagnosticError, ShapeError
-from .model import ModelWeights, _rows, network, network_input
+from .model import ModelWeights, _rows, network
 from .ops import UpConv
 
 PIECE_CAP = 10 ** 6  # a scan with more pieces is a numerical fault
@@ -144,9 +144,8 @@ class _LinePlan:
                 f"line has {line.a.size} pixels, model expects {arch.n_pixels}")
         # the pair (offset, slope) is a batch of two rows; the one condition
         # row goes to the offset row only, as do the biases
-        self.layers = network(weights, cond)
-        base = network_input(np.stack([line.a, line.b]).reshape(2, arch.side, arch.side),
-                             cond)
+        self.layers, base = network(
+            weights, np.stack([line.a, line.b]).reshape(2, arch.side, arch.side), cond)
         self.outputs = [self.layers[0].affine(base, line.window[0])[0]]
         self.outputs += [None] * (len(self.layers) - 1)
         self.crossings = [np.inf] * len(self.layers)

@@ -1,13 +1,16 @@
 """Hand-rolled training for the detector network.
 
-Gradients are computed analytically by walking the model's layer list
-backwards (checked against central finite differences in the test suite),
-the optimizer is Adam with bias correction, and the loop does early
-stopping on a held-out split.  Each minibatch, and each chunk of the
-held-out and training sets when their losses are evaluated, runs through
-the network as one batch.  Every
-source of randomness flows from one seeded counter-based generator, so the
-same seed reproduces the same final weights bit for bit.
+The objective is the ELBO of the conditional VAE: the latent head's KL
+term (`ops.LatentHead.kl`) plus half the squared reconstruction residual,
+which this module adds (`_elbo`).  Gradients are computed analytically by
+walking the model's layer list backwards, seeded with the residual
+(checked against central finite differences in the test suite), the
+optimizer is Adam with bias correction, and the loop does early stopping
+on a held-out split.  Each minibatch, and each chunk of the held-out and
+training sets when their losses are evaluated, runs through the network
+as one batch.  Every source of randomness flows from one seeded
+counter-based generator, so the same seed reproduces the same final
+weights bit for bit.
 """
 
 from __future__ import annotations
@@ -18,12 +21,22 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .model import (ArchitectureSpec, ModelWeights, _images, _rows, elbo_loss, forward,
-                    init_weights)
+from .model import ArchitectureSpec, ModelWeights, _images, _rows, forward, init_weights
+from .ops import LatentHead
 from .ops import conv2d, conv2d_backward  # noqa: F401  (perfbench/layers.py traces these names)
 
 ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moment estimates
 ADAM_EPS = 1e-8  # added to the root of the second moment, so its quotient stays finite
+
+
+def _elbo(x, recon, layers):
+    """``(loss, resid)`` of a forward pass that took the images ``x`` through
+    ``layers`` to ``recon``: the negated variational bound under a
+    unit-variance Gaussian likelihood, summed over the batch, which is the
+    latent head's KL term plus half the squared residual ``resid = recon - x``."""
+    head = next(layer for layer in layers if isinstance(layer, LatentHead))
+    resid = recon - x
+    return head.kl() + 0.5 * float(np.sum(resid * resid)), resid
 
 
 def loss_and_gradients(x, cond, weights: ModelWeights, eps):
@@ -31,14 +44,16 @@ def loss_and_gradients(x, cond, weights: ModelWeights, eps):
 
     ``x``, ``cond`` and ``eps`` hold one image, one row of conditions and
     one latent draw, or B of each.  Returns ``(loss, grads)``, summed over
-    the batch, with ``grads`` keyed like the weight dict.  Each layer's
-    backward reuses the relu and maxpool patterns of the forward pass; the
-    latent draw uses the reparameterization z = mu + exp(logvar/2) * eps.
+    the batch, with ``grads`` keyed like the weight dict.  The residual
+    seeds the backward pass, and the latent head adds the KL term's
+    gradient.  Each layer's backward reuses the relu and maxpool patterns
+    of the forward pass; the latent draw uses the reparameterization
+    z = mu + exp(logvar/2) * eps.
     """
     x = _images(x, weights.arch)
-    recon, stats, layers = forward(x, cond, weights, eps)
-    loss = elbo_loss(x, recon, stats)
-    grad = (recon - x)[..., None]
+    recon, layers = forward(x, cond, weights, eps)
+    loss, resid = _elbo(x, recon, layers)
+    grad = resid[..., None]
     grads = {}
     for layer in reversed(layers):
         grad = layer.backward(grad)
@@ -49,8 +64,8 @@ def loss_and_gradients(x, cond, weights: ModelWeights, eps):
 def evaluate_loss(x, cond, weights: ModelWeights) -> float:
     """Deterministic ELBO (latent mean path, no sampling), summed over a batch."""
     x = _images(x, weights.arch)
-    recon, stats, _ = forward(x, cond, weights)
-    return elbo_loss(x, recon, stats)
+    recon, layers = forward(x, cond, weights)
+    return _elbo(x, recon, layers)[0]
 
 
 @dataclass

@@ -345,14 +345,20 @@ class TestTestCommand:
         assert main(["test", *base, "--subject", "nobody"]) == EXIT_DATA
         capsys.readouterr()
 
-    def test_map_of_the_wrong_size_is_data_error(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("bad_map", [np.zeros((4, 4)), np.full((8, 8), np.nan)],
+                             ids=["wrong-size", "nan"])
+    def test_map_of_the_wrong_size_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                                 bad_map):
+        """A map that is not side x side, or not finite, stops the command
+        with one error line that names its file."""
         run = tmp_path / "run"
         shutil.copytree(pipeline_dir[0], run)
-        write_map(run / "images" / "inference-0000.bin", np.zeros((4, 4)))
+        write_map(run / "images" / "inference-0000.bin", bad_map)
         assert main(["test", "--config", str(run / "config.ini"), "--out", str(run),
                      "--subject", "inference-0000"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "inference-0000.bin" in err
 
 
 class TestExperiments:

@@ -59,6 +59,15 @@ class TestMapFormat:
         with pytest.raises(TruncatedFileError):
             read_map(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_data_error(self, tmp_path, bad):
+        path = tmp_path / "map.bin"
+        values = np.zeros((3, 3))
+        values[1, 2] = bad
+        write_map(path, values)
+        with pytest.raises(DataError, match="map.bin: map has non-finite values"):
+            read_map(path)
+
 
 class TestRoiFormat:
     def test_roundtrip(self, tmp_path):

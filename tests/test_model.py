@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from siad.errors import ShapeError
-from siad.model import (ArchitectureSpec, LatentStats, elbo_loss, forward,
-                        init_weights, kl_divergence, reconstruct, zero_weights)
-from siad.ops import Relu, UpConv
+from siad.errors import DataError, ShapeError
+from siad.model import ArchitectureSpec, forward, init_weights, reconstruct, zero_weights
+from siad.ops import LatentHead, Relu, UpConv
+from siad.training import evaluate_loss
 
 ARCH = ArchitectureSpec(side=8, channels=(3, 5), latent_dim=3)
 COND = np.array([0.4, -1.2])
+
+
+def _head(layers):
+    """The latent head of a forward pass's layers."""
+    return next(layer for layer in layers if isinstance(layer, LatentHead))
 
 
 class TestArchitectureSpec:
@@ -45,10 +50,10 @@ class TestArchitectureSpec:
 
 class TestEncode:
     def test_zero_weights_give_zero_stats(self):
-        _, stats, layers = forward(np.random.default_rng(0).normal(size=(1, 8, 8)),
-                                   COND, zero_weights(ARCH))
-        np.testing.assert_array_equal(stats.mu, np.zeros((1, 3)))
-        np.testing.assert_array_equal(stats.logvar, np.zeros((1, 3)))
+        _, layers = forward(np.random.default_rng(0).normal(size=(1, 8, 8)),
+                            COND, zero_weights(ARCH))
+        np.testing.assert_array_equal(_head(layers).mu, np.zeros((1, 3)))
+        np.testing.assert_array_equal(_head(layers).logvar, np.zeros((1, 3)))
         # each decoder block reads the relu right after its encoder conv
         decoders = [layer for layer in layers if isinstance(layer, UpConv)]
         assert [layers.index(d.skip) for d in decoders] == [4, 1]
@@ -57,8 +62,8 @@ class TestEncode:
     def test_deterministic(self):
         w = init_weights(ARCH, 5)
         x = np.random.default_rng(1).normal(size=(1, 8, 8))
-        _, a, _ = forward(x, COND, w)
-        _, b, _ = forward(x, COND, w)
+        a = _head(forward(x, COND, w)[1])
+        b = _head(forward(x, COND, w)[1])
         np.testing.assert_array_equal(a.mu, b.mu)
         np.testing.assert_array_equal(a.logvar, b.logvar)
 
@@ -80,9 +85,9 @@ class TestEncode:
         agreements = 0
         samples = 50
         for t in np.linspace(-1.0, 1.0, samples):
-            mu0 = forward(x + (t - h) * d, COND, w)[1].mu
-            mu1 = forward(x + t * d, COND, w)[1].mu
-            mu2 = forward(x + (t + h) * d, COND, w)[1].mu
+            mu0 = _head(forward(x + (t - h) * d, COND, w)[1]).mu
+            mu1 = _head(forward(x + t * d, COND, w)[1]).mu
+            mu2 = _head(forward(x + (t + h) * d, COND, w)[1]).mu
             left = (mu1 - mu0) / h
             right = (mu2 - mu1) / h
             if np.allclose(left, right, rtol=1e-4, atol=1e-4):
@@ -113,7 +118,7 @@ def _conv_loops(x, kernel, bias):
 class TestDecode:
     def test_zero_weights_give_zero_image(self):
         x = np.random.default_rng(10).normal(size=(2, 8, 8))
-        recon, _, _ = forward(x, np.ones((2, 2)), zero_weights(ARCH), eps=np.ones((2, 3)))
+        recon, _ = forward(x, np.ones((2, 2)), zero_weights(ARCH), eps=np.ones((2, 3)))
         np.testing.assert_array_equal(recon, np.zeros((2, 8, 8)))
 
     def test_positive_homogeneity_with_zero_bias(self):
@@ -175,34 +180,49 @@ class TestReconstruct:
         np.testing.assert_array_equal(reconstruct(x, COND, w),
                                       reconstruct(x, COND, w))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_is_data_error(self, bad):
+        """Refused before any arithmetic, so with no RuntimeWarning."""
+        x = np.zeros((2, 8, 8))
+        x[1, 3, 4] = bad
+        with pytest.raises(DataError, match="non-finite pixel"):
+            reconstruct(x, np.zeros((2, 2)), init_weights(ARCH, 0))
+
 
 class TestElboLoss:
+    """The latent head's KL term and the training loss, by hand values."""
+
     def test_perfect_fit_is_zero(self):
-        x = np.random.default_rng(7).normal(size=(1, 4, 4))
-        stats = LatentStats(np.zeros(3), np.zeros(3))
-        assert elbo_loss(x, x, stats) == 0.0
+        # zero weights reconstruct zero with mu = logvar = 0
+        w, x = zero_weights(ARCH), np.zeros((1, 8, 8))
+        _, layers = forward(x, COND, w)
+        assert _head(layers).kl() == 0.0
+        assert evaluate_loss(x, COND, w) == 0.0
 
     def test_unit_mean_costs_half(self):
-        x = np.zeros((1, 2, 2))
-        stats = LatentStats(np.array([1.0]), np.array([0.0]))
-        assert elbo_loss(x, x, stats) == pytest.approx(0.5)
+        w = zero_weights(ARCH)
+        w.params["mu_b"] = np.array([1.0, 0.0, 0.0])
+        x = np.zeros((1, 8, 8))
+        _, layers = forward(x, COND, w)
+        assert _head(layers).kl() == 0.5
+        assert evaluate_loss(x, COND, w) == 0.5
 
     def test_single_pixel_error_costs_half(self):
-        x = np.zeros((1, 2, 2))
-        recon = x.copy()
-        recon[0, 0, 0] = 1.0
-        stats = LatentStats(np.zeros(2), np.zeros(2))
-        assert elbo_loss(x, recon, stats) == pytest.approx(0.5)
+        x = np.zeros((1, 8, 8))
+        x[0, 2, 5] = 1.0
+        assert evaluate_loss(x, COND, zero_weights(ARCH)) == 0.5
 
     def test_decomposes_into_kl_plus_residual(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, 4, 4))
-        recon = rng.normal(size=(1, 4, 4))
-        stats = LatentStats(rng.normal(size=3), rng.normal(size=3))
-        expected = kl_divergence(stats) + 0.5 * np.sum((x - recon) ** 2)
-        assert elbo_loss(x, recon, stats) == pytest.approx(expected, rel=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            elbo_loss(np.zeros((1, 4, 4)), np.zeros((1, 2, 2)),
-                      LatentStats(np.zeros(2), np.zeros(2)))
+        w = init_weights(ARCH, 8)
+        for name in ("mu_b", "logvar_b", "dec_dense_b", "dec0_b"):
+            w.params[name] = rng.normal(size=w.params[name].shape)
+        x = rng.normal(size=(3, 8, 8))
+        cond = rng.normal(size=(3, 2))
+        recon, layers = forward(x, cond, w)
+        mu, logvar = _head(layers).mu, _head(layers).logvar
+        kl = 0.5 * np.sum(mu ** 2 + np.exp(logvar) - 1.0 - logvar)
+        assert _head(layers).kl() == pytest.approx(kl, rel=1e-12)
+        expected = kl + 0.5 * np.sum((x - recon) ** 2)
+        assert evaluate_loss(x, cond, w) == pytest.approx(expected, rel=1e-12)

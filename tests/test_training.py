@@ -69,6 +69,15 @@ class TestGradients:
         _, grads = loss_and_gradients(np.zeros((1, 8, 8)), np.zeros(2), w, np.zeros(3))
         np.testing.assert_array_equal(grads["mu_b"], mu_b)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_is_data_error(self, bad):
+        """Refused before any arithmetic, so with no RuntimeWarning."""
+        x = np.zeros((2, 8, 8))
+        x[0, 7, 0] = bad
+        with pytest.raises(DataError, match="non-finite pixel"):
+            loss_and_gradients(x, np.zeros((2, 2)), init_weights(ARCH, 0), np.zeros((2, 3)))
+
     def test_backward_releases_what_forward_kept(self, monkeypatch):
         """Once a layer's backward has run it holds nothing for it; an
         encoder relu also drops the gradient its decoder conv left it."""
@@ -82,7 +91,7 @@ class TestGradients:
         rng = np.random.default_rng(29)
         loss_and_gradients(rng.normal(size=(2, 8, 8)), rng.normal(size=(2, 2)),
                            init_weights(ARCH, 29), rng.normal(size=(2, 3)))
-        (_, _, layers), = passes
+        (_, layers), = passes
         relus = [layer for layer in layers if isinstance(layer, Relu)]
         assert len(relus) == 4
         for relu in relus:
