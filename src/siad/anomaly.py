@@ -89,8 +89,7 @@ class AnomalyMask:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnomalyMask):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.all(self.pixels == other.pixels))
+        return np.array_equal(self.pixels, other.pixels)
 
 
 def reconstruction_error(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
@@ -105,8 +104,9 @@ def reconstruction_error(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
 def calibrate_threshold(healthy_errors, roi: RoiMask, q: float) -> Threshold:
     """Nearest-rank empirical q-quantile of pooled |error| over ROI pixels.
 
-    The rank is ceil(q * N) over the N pooled values, so the returned value
-    is always one of the observed errors (reproducible, no interpolation).
+    The rank is ceil(q * N) over the N pooled values (numpy's
+    ``"inverted_cdf"`` quantile), so the returned value is always one of the
+    observed errors (reproducible, no interpolation).
     """
     if not 0 < q < 1:
         raise DataError(f"quantile must be in (0,1), got {q}")
@@ -118,9 +118,8 @@ def calibrate_threshold(healthy_errors, roi: RoiMask, q: float) -> Threshold:
         pools.append(np.abs(flat[roi.member]))
     if not pools:
         raise DataError("no healthy error maps to calibrate from")
-    pooled = np.sort(np.concatenate(pools))
-    rank = math.ceil(q * pooled.size)
-    value = float(pooled[max(rank, 1) - 1])
+    pooled = np.concatenate(pools)
+    value = float(np.quantile(pooled, q, method="inverted_cdf"))
     return Threshold(value=value, source_quantile=q, calibration_count=pooled.size)
 
 

@@ -127,13 +127,14 @@ def binomial_upper_bound(n: int, alpha: float) -> int:
 def sign_test_pvalue(n_plus: int, n_minus: int) -> float:
     """Exact one-sided paired sign test for 'plus beats minus'.
 
-    P(X >= n_plus) for X ~ Binomial(n_plus + n_minus, 1/2); small values
-    mean the advantage is unlikely to be a coin-flip artifact.
+    P(X >= n_plus) for X ~ Binomial(n_plus + n_minus, 1/2), the ``"greater"``
+    p-value of ``scipy.stats.binomtest``; small values mean the advantage is
+    unlikely to be a coin-flip artifact.
     """
     n = n_plus + n_minus
     if n == 0:
         return 1.0
-    return float(stats.binom.sf(n_plus - 1, n, 0.5))
+    return float(stats.binomtest(n_plus, n, alternative="greater").pvalue)
 
 
 def paired_gap_significant(outcomes, alpha: float) -> bool:

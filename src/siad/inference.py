@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy import stats
+from scipy.special import log_ndtr, logsumexp
 
 from .anomaly import AnomalyMask, RoiMask, Threshold, detect
 from .errors import (DataError, DegenerateMaskError, NumericalDiagnosticError,
@@ -43,8 +44,8 @@ class NoiseModel:
     provenance: str = "known-by-construction"
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise DataError(f"noise variance must be positive, got {self.sigma2}")
+        if not 0 < self.sigma2 < math.inf:
+            raise DataError(f"noise variance must be positive and finite, got {self.sigma2}")
         if self.provenance not in ("known-by-construction", "estimated"):
             raise DataError(f"unknown provenance {self.provenance!r}")
 
@@ -273,21 +274,13 @@ def _log_right_tail_mass(lo: float, hi: float) -> float:
     return float(log_upper + math.log(kept)) if kept > 0.0 else -math.inf
 
 
-def _log_sum_exp(logs) -> float:
-    """log(sum(exp(v) for v in logs)), with exact summation of the scaled terms."""
-    top = max(logs, default=-math.inf)
-    if top == -math.inf:
-        return top
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
-
-
 def _log_interval_mass(lo: float, hi: float) -> float:
     """Log standard normal mass of [lo, hi], split at zero to avoid cancellation."""
     if lo >= 0.0:
         return _log_right_tail_mass(lo, hi)
     if hi <= 0.0:
         return _log_right_tail_mass(-hi, -lo)
-    return _log_sum_exp([_log_right_tail_mass(0.0, hi), _log_right_tail_mass(0.0, -lo)])
+    return logsumexp([_log_right_tail_mass(0.0, hi), _log_right_tail_mass(0.0, -lo)])
 
 
 def truncated_normal_pvalue(z_obs: float, sigma_t: float,
@@ -297,9 +290,9 @@ def truncated_normal_pvalue(z_obs: float, sigma_t: float,
     Computes P(|Z| >= |z_obs| and Z in S) / P(Z in S) for Z centered with
     standard deviation ``sigma_t`` and S the truncation set.  Interval
     masses come from differences of stable log tails, and the ratio is taken
-    in log space (a log-sum-exp over the interval log-masses), so a set far
-    in the tail, whose masses underflow, still gives a p-value.  The result
-    is clamped to [0, 1].
+    in log space (``scipy.special.logsumexp`` over the interval log-masses),
+    so a set far in the tail, whose masses underflow, still gives a p-value.
+    The result is clamped to [0, 1].
     """
     if not sigma_t > 0:
         raise DataError(f"sigma must be positive, got {sigma_t}")
@@ -315,10 +308,10 @@ def truncated_normal_pvalue(z_obs: float, sigma_t: float,
         left_hi = min(hi_u, -cut)
         if lo_u < left_hi:
             num_parts.append(_log_interval_mass(lo_u, left_hi))
-    log_denominator = _log_sum_exp(den_parts)
+    log_denominator = logsumexp(den_parts)
     if log_denominator == -math.inf:
         raise NumericalDiagnosticError("truncation set carries no probability mass")
-    ratio = math.exp(_log_sum_exp(num_parts) - log_denominator)
+    ratio = math.exp(logsumexp(num_parts) - log_denominator)
     return float(min(1.0, max(0.0, ratio)))
 
 
@@ -347,14 +340,10 @@ def selective_pvalue(x: np.ndarray, cond, weights: ModelWeights,
 
 
 def ks_statistic(pvals) -> float:
-    """Sup distance between the empirical CDF of the p-values and U(0,1)."""
-    arr = np.sort(np.asarray(pvals, dtype=np.float64).reshape(-1))
+    """Sup distance between the p-values' empirical CDF and U(0,1), by ``stats.kstest``."""
+    arr = np.asarray(pvals, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise DataError("no p-values given")
     if np.any(arr < 0) or np.any(arr > 1):
         raise DataError("p-values must lie in [0, 1]")
-    n = arr.size
-    grid = np.arange(1, n + 1, dtype=np.float64) / n
-    d_plus = float(np.max(grid - arr))
-    d_minus = float(np.max(arr - (grid - 1.0 / n)))
-    return max(d_plus, d_minus)
+    return float(stats.kstest(arr, "uniform").statistic)

@@ -50,8 +50,8 @@ class ArchitectureSpec:
             raise ShapeError("need at least one block")
         if min(self.channels) < 1:
             raise ShapeError(f"channel counts must be >= 1, got {self.channels}")
-        if self.side % (2 ** blocks) != 0:
-            raise ShapeError(f"side {self.side} not divisible by 2^{blocks}")
+        if self.side < 1 or self.side % (2 ** blocks) != 0:
+            raise ShapeError(f"side must be a positive multiple of 2^{blocks}, got {self.side}")
         if self.latent_dim < 1:
             raise ShapeError("latent_dim must be >= 1")
         if self.cond_count < 0:
@@ -128,9 +128,6 @@ class ModelWeights:
             if not np.all(np.isfinite(arr)):
                 raise ShapeError(f"{name}: non-finite entries")
             self.params[name] = arr
-
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(self.arch, {k: v.copy() for k, v in self.params.items()})
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]

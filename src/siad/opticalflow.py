@@ -100,20 +100,13 @@ def _as_plane_3d(arr) -> np.ndarray:
     return arr
 
 
-def _central_gradients(img: np.ndarray):
-    padded = np.pad(img, 1, mode="reflect")
-    h, w = img.shape
-    gx = 0.5 * (padded[1:1 + h, 2:2 + w] - padded[1:1 + h, 0:w])
-    gy = 0.5 * (padded[2:2 + h, 1:1 + w] - padded[0:h, 1:1 + w])
-    return gx, gy
-
-
 def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
                  iterations: int = HS_DEFAULT_ITERATIONS) -> FlowField:
     """Horn-Schunck flow between the pair, in pixels per year.
 
     Spatial gradients are central differences of the two-frame mean with
-    reflective borders; the temporal gradient is the forward difference.
+    reflective borders (the interior of ``np.gradient`` of the
+    reflect-padded mean); the temporal gradient is the forward difference.
     Starting from zero flow, each Jacobi sweep replaces the field by its
     neighbourhood average (one ``ndimage.correlate`` over the stacked u and
     v, mirror borders = reflect padding, same sum order as shifted adds)
@@ -126,7 +119,8 @@ def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
         raise DataError(f"need a whole number of iterations >= 1, got {iterations!r}")
     i1 = pair.first[0]
     i2 = pair.second[0]
-    gx, gy = _central_gradients(0.5 * (i1 + i2))
+    padded = np.pad(0.5 * (i1 + i2), 1, mode="reflect")
+    gy, gx = (g[1:-1, 1:-1] for g in np.gradient(padded))
     gt = i2 - i1
     denom = smoothness ** 2 + gx * gx + gy * gy
 

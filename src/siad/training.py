@@ -161,7 +161,7 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
     weights = init_weights(arch, config.seed)
     state = AdamState.zeros_like(weights)
     best_loss = mean_loss(weights, hold_idx)
-    best_weights = weights.copy()
+    best_weights = weights
     best_epoch = 0
     history = [EpochRecord(0, mean_loss(weights, train_idx), best_loss, False)]
 
@@ -181,7 +181,7 @@ def train(dataset, arch: ArchitectureSpec, config: TrainConfig) -> TrainResult:
         h_loss = mean_loss(weights, hold_idx)
         if h_loss < best_loss:
             best_loss = h_loss
-            best_weights = weights.copy()
+            best_weights = weights
             best_epoch = epoch
             stale = 0
         else:

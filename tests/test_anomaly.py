@@ -1,5 +1,7 @@
 """Detector steps: error map, threshold calibration, mask extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestCalibrateThreshold:
         thr = calibrate_threshold(errors, roi, 0.95)
         assert thr.value == 10.0
         assert thr.calibration_count == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 64, 100, 397])
+    def test_rank_is_ceil_q_n_at_and_beside_integers(self, n):
+        """q = k/N puts q*N on an integer or one rounding off it (0.07 * 100
+        is 7.000000000000001, rank 8); the neighbouring floats of k/N land
+        just off it on either side.  Each must give rank ceil(q*N)."""
+        pool = np.random.default_rng(n).permutation(np.arange(1.0, n + 1.0) * 0.37)
+        roi = full_roi(n)
+        qs = [k / n for k in range(1, n)]
+        qs += [np.nextafter(q, side) for q in qs for side in (0.0, 1.0)]
+        for q in qs:
+            expected = sorted(pool)[math.ceil(q * n) - 1]
+            assert calibrate_threshold([pool], roi, q).value == expected, q
 
     def test_empty_pool_rejected(self):
         with pytest.raises(DataError):

@@ -162,6 +162,16 @@ class TestUsageAndErrors:
         assert err.count("\n") == 1 and err.startswith("error:") and "channels" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("side", ["0", "-16"])
+    def test_side_below_one_writes_nothing(self, tmp_path, capsys, side):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_CONFIG.replace("side = 8", f"side = {side}"))
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "side must be" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_flag_outside_uint64_writes_nothing(self, tmp_path, capsys, seed):
         out = tmp_path / "run"

@@ -190,6 +190,12 @@ class TestCalibrationArtifacts:
         write_noise(path, noise)
         assert read_noise(path) == noise
 
+    def test_infinite_noise_variance_rejected(self, tmp_path):
+        path = tmp_path / "noise.json"
+        path.write_text('{"sigma2": Infinity, "provenance": "estimated"}')
+        with pytest.raises(DataError, match="noise variance"):
+            read_noise(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "threshold.json"
         path.write_text("{not json")

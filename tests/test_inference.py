@@ -72,6 +72,13 @@ class TestTestStatistic:
         assert contrast_statistic(x, eta) == pytest.approx(expected, abs=1e-12)
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("inf"), float("nan")])
+    def test_variance_must_be_positive_and_finite(self, sigma2):
+        with pytest.raises(DataError, match="noise variance"):
+            NoiseModel(sigma2)
+
+
 class TestEstimateNoise:
     def test_recovers_unit_variance(self):
         imgs = gen_null_cohort(1000, 8, 1.0, seed=3)

@@ -22,6 +22,11 @@ class TestArchitectureSpec:
         with pytest.raises(ShapeError):
             ArchitectureSpec(side=10, channels=(4, 8))
 
+    @pytest.mark.parametrize("side", [0, -16])
+    def test_side_below_one_rejected(self, side):
+        with pytest.raises(ShapeError, match="side"):
+            ArchitectureSpec(side=side)
+
     def test_latent_positive(self):
         with pytest.raises(ShapeError):
             ArchitectureSpec(side=8, channels=(4,), latent_dim=0)
