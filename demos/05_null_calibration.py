@@ -35,7 +35,7 @@ threshold = calibrate_threshold(
 
 nulls = gen_null_cohort(N_NULL, 16, 1.0, seed=13, start_index=1000)
 null_conds = keyed_rng(13, 90, 2).normal(size=(N_NULL, 2))
-print(f"testing {N_NULL} pure-noise subjects (a few minutes)...")
+print(f"testing {N_NULL} pure-noise subjects...")
 outcomes = evaluate_cohort(nulls, null_conds, weights, threshold, roi, noise,
                            workers=2)
 

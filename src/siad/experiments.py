@@ -12,7 +12,6 @@ import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError
 from .inference import STATUS_SKIPPED, STATUS_TESTED, NoiseModel, selective_pvalue
@@ -121,6 +120,7 @@ def binomial_upper_bound(n: int, alpha: float) -> int:
     confidence BINOMIAL_CONFIDENCE; exceeding it flags an inflated test."""
     if n < 1:
         raise DataError("need at least one trial")
+    from scipy import stats  # on first use, as in `inference.ks_statistic`
     return int(stats.binom.ppf(BINOMIAL_CONFIDENCE, n, alpha))
 
 
@@ -134,6 +134,7 @@ def sign_test_pvalue(n_plus: int, n_minus: int) -> float:
     n = n_plus + n_minus
     if n == 0:
         return 1.0
+    from scipy import stats  # on first use, as in `inference.ks_statistic`
     return float(stats.binomtest(n_plus, n, alternative="greater").pvalue)
 
 

@@ -29,9 +29,10 @@ lays each kernel out once as (C_in, k, k, C_out).  A "same" convolution is
 the sum over kernel offsets s of shift_s(x) @ K_s, computed as one GEMM
 along its narrower channel side:
 
-* with fewer input than output channels, the k*k windows of the padded
-  input are gathered (a strided view and one copy) and multiplied by the
-  kernel as a (C_in*k*k, C_out) matrix;
+* with fewer input than output channels, the input is padded into a
+  channel-major (C_in, B, H+2p, W+2p) copy, its k*k windows are gathered
+  from that (a strided view and one copy whose innermost loop runs along
+  image rows) and multiplied by the kernel as a (C_in*k*k, C_out) matrix;
 * otherwise the padded input is multiplied by the kernel as a
   (C_in, k*k*C_out) matrix, and the k*k product planes are added, each
   shifted by its offset: the shifted planes are one strided
@@ -89,14 +90,25 @@ def _view(arr, shape, strides, offset=0):
     return np.ndarray(shape, arr.dtype, arr, offset, strides)
 
 
+def _pad_channel_major(x, p):
+    """``x`` (B, H, W, C) zero-padded by ``p`` pixels on each side of both
+    image axes, laid out channel-major: (C, B, H+2p, W+2p)."""
+    b, h, w, c = x.shape
+    padded = np.zeros((c, b, h + 2 * p, w + 2 * p))
+    padded[:, :, p:p + h, p:p + w] = x.transpose(3, 0, 1, 2)
+    return padded
+
+
 def _taps(padded, k, h, w, step=1):
     """The k x k window at each of h x w positions ``step`` pixels apart in
-    each image of ``padded`` (contiguous), one row per position:
-    (B*h*w, C*k*k), ordered by channel, row offset, then column offset."""
-    b, c = len(padded), padded.shape[3]
-    sb, sh, sw, sc = padded.strides
-    windows = _view(padded, (b, h, w, c, k, k), (sb, step * sh, step * sw, sc, sh, sw))
-    return windows.reshape(b * h * w, c * k * k)
+    each image of ``padded`` (contiguous, channel-major (C, B, H', W')), one
+    row per position: (B*h*w, C*k*k), ordered by channel, row offset, then
+    column offset.  It is the transposed view of one contiguous
+    (C*k*k, B*h*w) copy, whose innermost loop runs along image rows."""
+    c, b = padded.shape[:2]
+    sc, sb, sh, sw = padded.strides
+    windows = _view(padded, (c, k, k, b, h, w), (sc, sh, sw, sb, step * sh, step * sw))
+    return windows.reshape(c * k * k, b * h * w).T
 
 
 def _shift_sum(planes, out):
@@ -132,11 +144,12 @@ def conv2d(x, kmat, bias, biased):
     """
     b, h, w, c_in = x.shape
     k, c_out = kmat.shape[1], kmat.shape[3]
-    padded = _pad(x, k // 2)
     if c_in < c_out:
-        out = (_taps(padded, k, h, w) @ kmat.reshape(-1, c_out)).reshape(b, h, w, c_out)
+        taps = _taps(_pad_channel_major(x, k // 2), k, h, w)
+        out = (taps @ kmat.reshape(-1, c_out)).reshape(b, h, w, c_out)
         out[:biased] += bias
         return out
+    padded = _pad(x, k // 2)
     planes = padded.reshape(-1, c_in) @ kmat.reshape(c_in, -1)
     out = np.zeros((b, h, w, c_out))
     out[:biased] = bias
@@ -165,9 +178,9 @@ def _kernel_grad(grad, x, kmat):
     b, h, w, c_out = grad.shape
     c_in, k = kmat.shape[:2]
     if c_in < c_out:
-        grad_kmat = _taps(_pad(x, k // 2), k, h, w).T @ grad.reshape(-1, c_out)
+        grad_kmat = _taps(_pad_channel_major(x, k // 2), k, h, w).T @ grad.reshape(-1, c_out)
         return grad_kmat.reshape(kmat.shape), None
-    grad_taps = _taps(_pad(grad, k // 2), k, h, w)
+    grad_taps = _taps(_pad_channel_major(grad, k // 2), k, h, w)
     return _kernel_grad_from_taps(grad_taps, x, kmat), grad_taps
 
 
@@ -450,8 +463,8 @@ class UpConv(Conv):
             grad, self.skip_in, self.skip_kmat)
         _, h, w, _ = self.x.shape
         k = self.kmat.shape[1]
-        g = _pad(grad, k // 2)
-        box = g[:, :-1, :-1] + g[:, 1:, :-1] + g[:, :-1, 1:] + g[:, 1:, 1:]
+        g = _pad_channel_major(grad, k // 2)
+        box = g[..., :-1, :-1] + g[..., 1:, :-1] + g[..., :-1, 1:] + g[..., 1:, 1:]
         box_taps = _taps(box, k, h, w, step=2)
         grad_up = _kernel_grad_from_taps(box_taps, self.x, self.up_kmat)
         self._set_grads(np.concatenate([grad_up, grad_skip]), grad_bias)

@@ -26,6 +26,7 @@ def test_optical_flow_demo_runs():
     ("02_train_detector.py", "holdout_loss"),
     ("03_detect_anomaly.py", "true region recovered"),
     ("04_selective_pvalue.py", "selective p-value:"),
+    ("05_null_calibration.py", "KS vs uniform:"),
 ])
 def test_demo_runs(script, expected):
     assert expected in _run_demo(script)

@@ -1,5 +1,10 @@
 """Cohort evaluation harness and its statistical summaries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from siad.model import ArchitectureSpec, init_weights
 from siad.synth import gen_null_cohort
 
 ARCH = ArchitectureSpec(side=8, channels=(4,), latent_dim=2)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _outcome(p_naive=None, p_bonf=None, p_sel=None):
@@ -101,3 +107,26 @@ class TestStatHelpers:
                     [0.005, 0.02, 0.03, 0.04, 0.045, 0.049, 0.3, 0.7]]
         assert monotone_gap_significant(outcomes, 0.01, 0.05)
         assert not monotone_gap_significant(outcomes, 0.05, 0.1)
+
+
+def _loads_scipy_stats(code):
+    """Whether a fresh interpreter running ``code`` ends with scipy.stats loaded."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                           "print('scipy.stats' in sys.modules)"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()[-1] == "True"
+
+
+class TestFootprint:
+    """scipy.stats costs about 45 MB and 0.75 s to import; only the three
+    summary statistics load it, on first use, so scans, training and every
+    pool worker run without it."""
+
+    @pytest.mark.parametrize("module", ["siad", "siad.cli", "siad.experiments"])
+    def test_import_leaves_scipy_stats_unloaded(self, module):
+        assert not _loads_scipy_stats(f"import {module}")
+
+    def test_first_summary_statistic_loads_scipy_stats(self):
+        assert _loads_scipy_stats("import siad\nsiad.ks_statistic([0.2, 0.7])")

@@ -395,3 +395,7 @@ class TestKsStatistic:
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             ks_statistic([])
+
+    def test_rejects_nan(self):
+        with pytest.raises(DataError):
+            ks_statistic([0.5, float("nan")])
