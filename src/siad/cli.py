@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -81,6 +82,7 @@ class RunConfig:
 
     def __post_init__(self):
         checks = [("seed", 0 <= self.seed < 2 ** 64, "must lie in [0, 2**64)"),
+                  ("sigma2", 0.0 < self.sigma2 < math.inf, "must be positive and finite"),
                   ("noise_source", self.noise_source in ("known", "estimated"),
                    "must be known or estimated"),
                   ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)")]
@@ -150,11 +152,16 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
 
 
 def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
-    """A signal_size x signal_size block at the center of the ROI."""
+    """A signal_size x signal_size block at the center of the ROI; a block
+    that would not fit inside the ROI is refused."""
     side = cfg.side
     grid = np.arange(side * side).reshape(side, side)
     rows = np.flatnonzero(roi.member.reshape(side, side).any(axis=1))
     cols = np.flatnonzero(roi.member.reshape(side, side).any(axis=0))
+    width = min(rows.size, cols.size)
+    if not 1 <= cfg.signal_size <= width:
+        raise DataError(f"config value signal_size = {cfg.signal_size!r}: "
+                        f"must lie in [1, {width}], the ROI's width")
     r0 = rows[0] + (rows.size - cfg.signal_size) // 2
     c0 = cols[0] + (cols.size - cfg.signal_size) // 2
     block = grid[r0:r0 + cfg.signal_size, c0:c0 + cfg.signal_size]

@@ -45,9 +45,12 @@ windows of whichever side is narrower.  The decoder's `UpConv` never builds
 its upsample + skip concatenation: its output is the convolution of the
 skip half (with the bias) plus that of the up half, which is one GEMM at
 the input's resolution whose product planes are upsampled into the padded
-grid before the shifted sum.  Its forward keeps the skip half's output
-for as long as the skip relu's output is the same array, which along a
-line spares it while only its upsampled input changes.
+grid before the shifted sum.  The layer keeps the convolution of each half
+until that half's input is another array (the skip relu's output, or the
+layer's own input), so along a line a pass computes only the half whose
+input a rerun replaced.  A pool's ``affine`` returns the array it last
+returned when the new output equals it bit for bit, which tells a line's
+plan that the stages reading the pool need not rerun.
 
 2x2 max pooling copies its input once into a competitor-major layout,
 (B, 4, H/2*W/2*C): each of the four places of a window is one contiguous
@@ -111,20 +114,20 @@ def _taps(padded, k, h, w, step=1):
     return windows.reshape(c * k * k, b * h * w).T
 
 
-def _shift_sum(planes, out):
-    """Adds each kernel offset's product plane, shifted by that offset, into
-    ``out`` (B, H, W, C_out); ``planes`` is (B, H+k-1, W+k-1, k*k*C_out).
+def _shift_sum(planes, h, w):
+    """The sum of each kernel offset's product plane, shifted by that
+    offset: (B, h, w, C_out) from ``planes`` (B, h+k-1, w+k-1, k*k*C_out).
 
-    The shifted planes are one strided (B, H, W, k, k, C_out) view of
+    The shifted planes are one strided (B, h, w, k, k, C_out) view of
     ``planes``, summed over the two offset axes in one reduction.
     """
-    b, h, w, c_out = out.shape
-    k = planes.shape[1] - h + 1
+    b, hp, _, n = planes.shape
+    k = hp - h + 1
+    c_out = n // (k * k)
     sb, sh, sw, sn = planes.strides
     shifted = _view(planes, (b, h, w, k, k, c_out),
                     (sb, sh, sw, sh + k * c_out * sn, sw + c_out * sn, sn))
-    out += shifted.sum(axis=(3, 4))
-    return out
+    return shifted.sum(axis=(3, 4))
 
 
 def _flip(kmat):
@@ -153,7 +156,8 @@ def conv2d(x, kmat, bias, biased):
     planes = padded.reshape(-1, c_in) @ kmat.reshape(c_in, -1)
     out = np.zeros((b, h, w, c_out))
     out[:biased] = bias
-    return _shift_sum(planes.reshape(padded.shape[:3] + (-1,)), out)
+    out += _shift_sum(planes.reshape(padded.shape[:3] + (-1,)), h, w)
+    return out
 
 
 def _input_grad_from_taps(grad_taps, kmat, shape):
@@ -298,6 +302,8 @@ class MaxPool2(Layer):
     `_competitors`, so a winner ``q`` of pooled unit ``u`` in row ``r`` is
     the flat element ``(4r + q) n + u`` (``n`` pooled units per row)."""
 
+    out = None  # the output pair ``affine`` last returned
+
     def _flat(self):
         """The flat indices of the winners ``win`` of the last forward."""
         b, n = len(self.win), self.win[0].size
@@ -322,7 +328,10 @@ class MaxPool2(Layer):
     def affine(self, pair, z_probe):
         """Ties at the probe go to the competitor that wins just to the right
         (largest slope, then smallest index).  A competitor with a larger
-        slope than the winner overtakes it where their values meet."""
+        slope than the winner overtakes it where their values meet.  An
+        output equal bit for bit to the last one returned (so 0.0 is not
+        -0.0) is returned as that same array, which tells a line's plan
+        that the stages reading it need not rerun."""
         _, h, w, c = pair.shape
         comp = _competitors(pair)
         off, slope = comp  # (4, n): competitors on axis 0
@@ -335,7 +344,9 @@ class MaxPool2(Layer):
         ds = slope - pooled[1]
         overtaking = np.flatnonzero(ds > 0.0)
         zc = (pooled[0] - off).take(overtaking) / ds.take(overtaking)
-        return pooled.reshape(2, h // 2, w // 2, c), _next_crossing(zc, z_probe)
+        if self.out is None or pooled.tobytes() != self.out.tobytes():
+            self.out = pooled.reshape(2, h // 2, w // 2, c)
+        return self.out, _next_crossing(zc, z_probe)
 
 
 class LatentHead(Layer):
@@ -418,11 +429,12 @@ class UpConv(Conv):
     skip (with the bias) plus that of the upsampled input.  Upsampling
     commutes with the per-pixel GEMM, so the second is one GEMM at the input's
     resolution whose product planes are upsampled into the padded grid
-    before the shifted sum.  The skip half's output (``skip_conv``) is kept
-    and reused for as long as ``skip.out`` is the same array (``skip_in``),
-    so along a line, where the pair changes far more often than the skip
-    relu's output, most passes compute only the up half; ``backward``
-    drops it.
+    before the shifted sum.  The layer keeps each half until that half's
+    input changes: the skip half (``skip_conv``) for as long as
+    ``skip.out`` is the same array (``skip_in``), the up half
+    (``up_conv``) for as long as its input is (``x``).  Along a line a
+    pass then computes only the half whose input a rerun replaced;
+    ``backward`` drops both.
     """
 
     def __init__(self, name, c_in, c_out, k, skip: Relu):
@@ -433,10 +445,11 @@ class UpConv(Conv):
     def bind(self, params, cond=None, eps=None):
         super().bind(params, cond, eps)
         self.up_kmat, self.skip_kmat = self.kmat[:self.c_up], self.kmat[self.c_up:]
-        self.skip_in = self.skip_conv = None
+        self.x = self.up_conv = self.skip_in = self.skip_conv = None
 
-    def _add_up(self, x, out):
-        """``out`` plus the convolution of the upsampled ``x``."""
+    def _up(self, x):
+        """The convolution of the upsampled ``x``: the shifted sum itself,
+        never added into zeros (which would turn a -0.0 into 0.0)."""
         b, h, w, _ = x.shape
         p = self.kmat.shape[1] // 2
         prod = x.reshape(-1, self.c_up) @ self.up_kmat.reshape(self.c_up, -1)
@@ -446,14 +459,16 @@ class UpConv(Conv):
         up = _view(planes, (b, h, 2, w, 2, n), (sb, 2 * sh, sh, 2 * sw, sw, sn),
                    p * (sh + sw))
         up[...] = prod.reshape(b, h, 1, w, 1, n)
-        return _shift_sum(planes, out)
+        return _shift_sum(planes, 2 * h, 2 * w)
 
     def forward(self, x):
-        self.x = x
+        if x is not self.x:
+            self.x = x
+            self.up_conv = self._up(x)
         if self.skip.out is not self.skip_in:
             self.skip_in = self.skip.out
             self.skip_conv = conv2d(self.skip_in, self.skip_kmat, self.bias, self.biased)
-        return self._add_up(x, self.skip_conv.copy())
+        return self.skip_conv + self.up_conv
 
     def backward(self, grad):
         """The skip half's gradient is left in ``skip.skip_grad``.  The up
@@ -469,5 +484,5 @@ class UpConv(Conv):
         grad_up = _kernel_grad_from_taps(box_taps, self.x, self.up_kmat)
         self._set_grads(np.concatenate([grad_up, grad_skip]), grad_bias)
         grad_x = _input_grad_from_taps(box_taps, self.up_kmat, self.x.shape)
-        self.x = self.skip_in = self.skip_conv = None
+        self.x = self.up_conv = self.skip_in = self.skip_conv = None
         return grad_x

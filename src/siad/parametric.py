@@ -24,14 +24,15 @@ too.)  So on a probe to the right of the previous one a stage reruns only
 when the probe has reached its crossing or one of its inputs changed;
 every other stage keeps its output and its crossing, which are the ones a
 rerun would give (the tests compare them bit for bit), and the pieces do
-not change.  A rerun whose output equals the kept one bit for bit counts
-as unchanged: the kept array stays, and the stages reading it need not
-rerun for its sake.  This is the early cutoff of build systems (Mokhov,
-Mitchell & Peyton Jones, *Build systems a la carte*, 2018).  A breakpoint
-flips the pattern of one layer, so a piece costs that layer and only those
-stages downstream whose inputs it actually changes; after an encoder relu
-flips, a pool whose winners did not move usually ends the pass.  A probe to
-the left of the previous one recomputes every stage that depends on ``z``.
+not change.  Only a pool can rerun to an output equal bit for bit to the
+kept one (its winners did not move); it then returns its kept array, which
+counts as unchanged, so the stages reading it need not rerun for its sake.
+This is the early cutoff of build systems (Mokhov, Mitchell & Peyton
+Jones, *Build systems a la carte*, 2018).  A breakpoint flips the pattern
+of one layer, so a piece costs that layer and only those stages
+downstream whose inputs it actually changes; after an encoder relu flips,
+a pool whose winners did not move usually ends the pass.  A probe to the
+left of the previous one recomputes every stage that depends on ``z``.
 
 Crossings closer than ``PROGRESS_TOL`` to the probe are skipped so the scan
 always advances; the induced value error is bounded by the layer slopes
@@ -47,13 +48,13 @@ slope planes travel together as a batch of two rows in the layers'
 channels-last layout; each convolution is one GEMM along its narrower
 channel side (gathered windows, or product planes summed shifted in one
 strided reduction) against a kernel laid out once per line, when the plan
-binds the layers; a decoder conv adds the convolution of its skip half,
-which it keeps for as long as the encoder relu it reads has not rerun, to
-one GEMM of its upsampled half at the lower resolution;
-pooling reads its windows in one competitor-major copy; and a relu or
-pool divides for crossings only at the units that flip.  Batching
-several lines or subjects in lockstep does not pay here: a step's cost
-grows almost linearly with the batch.
+binds the layers; a decoder conv adds the convolution of its skip half
+to that of its upsampled half (one GEMM at the lower resolution) and
+keeps each half until that half's input changes; pooling reads its
+windows in one competitor-major copy; and a relu or pool divides for
+crossings only at the units that flip.  Batching several lines or
+subjects in lockstep does not pay here: a step's cost grows almost
+linearly with the batch.
 """
 
 from __future__ import annotations
@@ -121,15 +122,14 @@ class _LinePlan:
 
     On a probe at or to the right of the previous one, ``evaluate`` reruns
     stage ``k`` only if the probe reached its crossing or a stage it reads
-    changed; a rerun to a bit-for-bit equal output is not a change, and the
-    plan keeps the old array.  A kept output and crossing are exact because
-    the stage's inputs are the same arrays and its pattern holds up to its
-    crossing.  The plan never writes layer state: after an equal rerun a
-    skip relu's ``out`` is the new array, and the decoder conv reading it
-    recomputes its skip half (to the same bits).  A probe to the left
-    reruns every stage.  ``stages_run`` counts the stages ``evaluate`` has
-    computed, ``stages_skipped`` those it kept; together they are the
-    probes times the stages after the first.
+    changed, that is, returned a different array.  Only a pool can rerun to
+    an output equal bit for bit to its last one, and it then returns that
+    same array; every other stage returns a new one.  A kept output and
+    crossing are exact because the stage's inputs are the same arrays and
+    its pattern holds up to its crossing.  A probe to the left reruns every
+    stage.  ``stages_run`` counts the stages ``evaluate`` has computed,
+    ``stages_skipped`` those it kept; together they are the probes times
+    the stages after the first.
 
     No stage refers back to the plan: such a reference cycle would keep
     every stage output alive until the cyclic garbage collector ran, tens
@@ -172,20 +172,16 @@ class _LinePlan:
             if not rerun[k]:
                 continue
             out, crossings[k] = layers[k].affine(outputs[k - 1], z_probe)
-            # bit for bit, so a kept 0.0 is never a rerun's -0.0
-            if resume and out.tobytes() == outputs[k].tobytes():
-                continue
-            outputs[k] = out
-            for reader in self.readers[k]:
-                rerun[reader] = True
+            if out is not outputs[k]:  # a pool returns its kept array if equal
+                outputs[k] = out
+                for reader in self.readers[k]:
+                    rerun[reader] = True
         ran = sum(rerun[1:])
         self.stages_run += ran
         self.stages_skipped += len(layers) - 1 - ran
         self.probe = z_probe
-        pair = outputs[-1]
-        return (np.ascontiguousarray(pair[0, :, :, 0]).reshape(-1),
-                np.ascontiguousarray(pair[1, :, :, 0]).reshape(-1),
-                min(crossings))
+        offset, slope = outputs[-1].reshape(2, -1)
+        return offset, slope, min(crossings)
 
 
 def scan_linear_pieces(eval_fn, window):

@@ -100,8 +100,9 @@ class CohortSpec:
                      "n_variance", "n_diseased"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
-        if not self.sigma2 > 0:
-            raise DataError("noise variance must be positive")
+        if not 0 < self.sigma2 < math.inf:
+            raise DataError(f"noise variance sigma2 must be positive and finite, "
+                            f"got {self.sigma2}")
         if self.n_diseased > 0 and self.signal is None:
             raise DataError("diseased subjects need a signal spec")
 

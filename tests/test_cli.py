@@ -104,7 +104,12 @@ class TestUsageAndErrors:
         ("train", "batch_size = 6", "batch_size = -4"),
         ("generate", "seed = 5", "seed = -1"),
         ("generate", "seed = 5", f"seed = {2 ** 64}"),
-    ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64"])
+        ("generate", "seed = 5", "seed = 5\nsigma2 = inf"),
+        ("generate", "seed = 5", "seed = 5\nsigma2 = 0"),
+        ("experiment-null", "seed = 5", "seed = 5\nsigma2 = -1"),
+        ("experiment-null", "seed = 5", "seed = 5\nsigma2 = nan"),
+    ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64", "sigma2-inf",
+            "sigma2-0", "null-sigma2-neg", "null-sigma2-nan"])
     def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                  command, old, new):
         out = tmp_path / "run" if command == "generate" else pipeline_dir[0]
@@ -223,6 +228,22 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "5", "20"])
+    def test_power_sweep_refuses_a_signal_wider_than_the_roi(self, pipeline_dir, tmp_path,
+                                                             capsys, size):
+        """The 8-pixel side's ROI is 4 pixels wide; a wider block would be
+        planted partly or wholly outside it."""
+        out, _ = pipeline_dir
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_CONFIG.replace("signal_size = 2", f"signal_size = {size}"))
+        before = {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()}
+        assert main(["experiment-power", "--amplitudes", "3", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "signal_size" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()} == before
 
     def test_command_failing_on_a_fresh_out_creates_nothing(self, tmp_path, capsys):
         out = tmp_path / "fresh"

@@ -247,22 +247,27 @@ class TestUpConv:
                                    rtol=0, atol=1e-12)
 
     def test_affine_matches_reference_and_reuses_the_skip_half(self):
+        """Each half is kept until its input changes: the skip half while
+        the skip relu's output is the same array, the up half while the
+        pair is; either way the output is a fresh layer's, bit for bit."""
         rng = np.random.default_rng(40)
         layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3), ONE_ROW)
-        fresh = UpConv("u", 6, 2, 3, layer.skip)
-        fresh.bind({"u_w": kernel, "u_b": bias}, ONE_ROW)
-        for step in range(4):
-            if step == 2:  # the skip relu recomputes: a new output array
+        for step in range(6):
+            if step in (2, 4, 5):  # the skip relu recomputes: a new output array
                 layer.skip.affine(rng.normal(size=(2, 6, 8, 3)), 0.0)
-            pair = rng.normal(size=(2, 3, 4, 3))
+            if step < 4:  # from step 4 on, only the skip relu reruns
+                pair = rng.normal(size=(2, 3, 4, 3))
+            up_conv = layer.up_conv
             out, crossing = layer.affine(pair, 0.0)
             assert crossing == np.inf
             np.testing.assert_allclose(
                 out, _reference_conv(_up_cat(pair, layer.skip.out), kernel, bias, 1),
                 rtol=0, atol=1e-12)
-            fresh.skip_in = None  # recompute the skip half
-            np.testing.assert_array_equal(out, fresh.affine(pair, 0.0)[0])
+            fresh = UpConv("u", 6, 2, 3, layer.skip)
+            fresh.bind({"u_w": kernel, "u_b": bias}, ONE_ROW)
+            _same_bits(out, fresh.affine(pair, 0.0)[0])
             assert layer.skip_in is layer.skip.out
+            assert (layer.up_conv is up_conv) == (step >= 4)
 
     def test_backward_matches_finite_differences(self):
         """Gradients of the input, the skip relu's output (left in its
@@ -572,10 +577,10 @@ class TestKernelOracles:
     def test_shift_sum(self, k, c_out):
         rng = np.random.default_rng(60 + k + c_out)
         planes = rng.normal(size=(2, 4 + k - 1, 5 + k - 1, k * k * c_out))
-        _same_bits(_shift_sum(planes, np.zeros((2, 4, 5, c_out))),
+        _same_bits(_shift_sum(planes, 4, 5),
                    _reference_shift_sum(planes, np.zeros((2, 4, 5, c_out))))
         biased = np.zeros((2, 4, 5, c_out)) + rng.normal(size=c_out)
-        np.testing.assert_allclose(_shift_sum(planes, biased.copy()),
+        np.testing.assert_allclose(biased + _shift_sum(planes, 4, 5),
                                    _reference_shift_sum(planes, biased.copy()),
                                    rtol=0, atol=1e-12)
 

@@ -293,10 +293,12 @@ class TestStageCache:
         assert plan.stages_run < old_rule
         assert plan.stages_run + plan.stages_skipped == probes * z_dependent
 
-    def test_decoder_conv_keeps_its_skip_half_when_the_skip_relu_reruns_unchanged(self):
-        """Forcing a skip relu and its decoder conv to rerun at the same
-        probe gives the relu an equal output: the plan keeps the old array,
-        and every stage still matches a fresh plan's."""
+    def test_only_an_unchanged_pool_stops_its_readers(self):
+        """A pool forced to rerun where its winners do not move returns its
+        kept array, and no stage reading it runs.  A skip relu forced to
+        rerun returns a new array with the same bits, so its decoder conv
+        reruns: it recomputes its skip half, to the same bits, and keeps its
+        up half.  Every stage still matches a fresh plan's."""
         arch = ArchitectureSpec(side=8, channels=(3, 4, 5), latent_dim=2)
         w = init_weights(arch, 3)
         rng = np.random.default_rng(3)
@@ -305,13 +307,26 @@ class TestStageCache:
         plan = _LinePlan(line, cond, w)
         z = 0.25
         plan.evaluate(z)
+        pools = [k for k, layer in enumerate(plan.layers) if isinstance(layer, MaxPool2)]
+        assert len(pools) == 3
+        for k in pools:
+            kept = plan.outputs[k]
+            plan.crossings[k] = z
+            before = plan.stages_run
+            _assert_same_as_fresh(plan, line, cond, w, z)
+            assert plan.stages_run - before == 1
+            assert plan.outputs[k] is kept
         decoder = [k for k, layer in enumerate(plan.layers) if isinstance(layer, UpConv)]
         assert len(decoder) == 3
         for k in decoder:
-            skip = plan.layers.index(plan.layers[k].skip)
-            kept = plan.outputs[skip]
-            plan.crossings[skip] = plan.crossings[k] = z
+            conv = plan.layers[k]
+            skip = plan.layers.index(conv.skip)
+            kept, skip_conv, up_conv = plan.outputs[skip], conv.skip_conv, conv.up_conv
+            plan.crossings[skip] = z
             before = plan.stages_run
             _assert_same_as_fresh(plan, line, cond, w, z)
-            assert plan.stages_run - before >= 2
-            assert plan.outputs[skip] is kept
+            assert plan.stages_run - before >= 3  # the relu, its pool and the conv
+            assert plan.outputs[skip] is not kept and conv.skip_in is plan.outputs[skip]
+            assert conv.skip_conv is not skip_conv
+            assert conv.skip_conv.tobytes() == skip_conv.tobytes()
+            assert conv.up_conv is up_conv

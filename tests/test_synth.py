@@ -149,6 +149,11 @@ class TestMakeCohort:
         with pytest.raises(DataError):
             CohortSpec(n_diseased=5, signal=None)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("inf"), float("nan")])
+    def test_noise_variance_outside_zero_to_inf_rejected(self, sigma2):
+        with pytest.raises(DataError, match="sigma2"):
+            CohortSpec(n_diseased=0, sigma2=sigma2)
+
 
 def _digest(subjects) -> str:
     """sha256 over each subject's provenance and image bytes, in order."""

@@ -97,7 +97,7 @@ class TestGradients:
         for relu in relus:
             assert relu.skip_grad is None and relu.gate is None and relu.out is None
         for layer in layers:
-            for kept in ("x", "win", "zc", "skip_conv"):
+            for kept in ("x", "win", "zc", "skip_conv", "up_conv"):
                 assert getattr(layer, kept, None) is None, (type(layer).__name__, kept)
 
 
