@@ -8,12 +8,13 @@ could have produced, and the selective test, which conditions on the event
 that the detector reproduces the observed mask.  The selective test works
 along the line through the observation in the direction of the contrast:
 the detector is decomposed into exact linear pieces over ±(|z_obs| + 20
-sigma).  On each piece a pixel's error is within the threshold on one closed
-band of the line parameter (a pixel whose error at the observation lies
-within the scan's value error of the threshold keeps its observed side
-there); the set where every unflagged ROI pixel is inside
-its band and every flagged one outside is found for all pieces in one array
-pass, and the p-value comes from the normal distribution truncated to it.
+sigma), each kept at the ROI pixels only.  On each piece a pixel's error is
+within the threshold on one closed band of the line parameter (a pixel
+whose error at the observation lies within the scan's value error of the
+threshold keeps its observed side there); the set where every unflagged ROI
+pixel is inside its band and every flagged one outside is found by array
+passes over fixed chunks of pieces, whose runs join across chunk ends, and
+the p-value comes from the normal distribution truncated to it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import ModelWeights
 from .parametric import VALUE_TOL, AffineLine, parametric_infer
 
 WINDOW_SIGMAS = 20.0  # the window reaches this many sigma past |z_obs|
+BAND_CHUNK = 256  # pieces per band pass: bounds its arrays to this many rows
 STATUS_TESTED = "tested"
 STATUS_SKIPPED = "degenerate-skip"
 
@@ -196,8 +198,8 @@ def _matching_runs(ends: np.ndarray, e_off: np.ndarray, e_slope: np.ndarray,
     (``t`` is one threshold for every pixel, or one per pixel).
     The unflagged pixels' bands intersect in one interval per piece; the
     flagged pixels' bands, sorted by start, leave a gap wherever one starts
-    past the running maximum of the ends before it.  Runs from all pieces
-    then merge across gaps of at most ``merge_tol``.
+    past the running maximum of the ends before it.  Runs from all the
+    given pieces then merge across gaps of at most ``merge_tol``.
     """
     sloped = e_slope != 0.0
     slope = np.where(sloped, e_slope, 1.0)
@@ -229,30 +231,42 @@ def truncation_region(line: AffineLine, cond, weights: ModelWeights,
                       observed: AnomalyMask, z_obs: float) -> TruncationSet:
     """All z in the window where the detector reproduces the observed mask.
 
-    Each linear piece of the reconstruction gives affine per-pixel errors;
-    ``_matching_runs`` keeps the z where every unflagged ROI pixel's error
-    is within the threshold and every flagged one's is not, for all pieces
-    at once.  The pieces give each error to within ``VALUE_TOL`` (relative
-    to t above 1), so a pixel whose error at ``z_obs`` lies that close to
-    the threshold counts as on its observed side there: its band is
+    Each linear piece of the reconstruction, kept at the ROI pixels only,
+    gives affine per-pixel errors; ``_matching_runs`` keeps the z where
+    every unflagged ROI pixel's error is within the threshold and every
+    flagged one's is not, for ``BAND_CHUNK`` pieces at a time, and each
+    chunk's first run joins the previous chunk's last by the same
+    ``merge_tol`` rule that joins runs within a chunk.  The pieces give
+    each error to within ``VALUE_TOL`` (relative to t above 1), so a pixel
+    whose error at ``z_obs`` lies that close to the threshold, on a piece
+    containing ``z_obs``, counts as on its observed side there: its band is
     widened by that margin, outward if it is unflagged and inward if it is
     flagged.  The interval containing ``z_obs`` must then be found,
     otherwise something is numerically wrong.
     """
-    pieces = parametric_infer(line, cond, weights)
     roi_idx = roi.indices
-    ends = np.array([(p.lo, p.hi) for p in pieces])
-    e_off = line.a[roi_idx] - np.array([p.recon_offset for p in pieces])[:, roi_idx]
-    e_slope = line.b[roi_idx] - np.array([p.recon_slope for p in pieces])[:, roi_idx]
+    pieces = parametric_infer(line, cond, weights, pixels=roi_idx)
+    a, b = line.a[roi_idx], line.b[roi_idx]
     flagged = observed.as_bool(roi.member.size)[roi_idx]
     t = threshold.value
     delta = VALUE_TOL * max(1.0, t)
-    at_obs = (ends[:, 0] <= z_obs) & (z_obs <= ends[:, 1])
-    e_obs = np.abs(e_off[at_obs] + e_slope[at_obs] * z_obs)
-    near = np.any(np.abs(e_obs - t) <= delta, axis=0)
+    near = np.zeros(roi_idx.size, dtype=bool)
+    for p in pieces:
+        if p.lo <= z_obs <= p.hi:
+            e_obs = np.abs(a - p.recon_offset + (b - p.recon_slope) * z_obs)
+            near |= np.abs(e_obs - t) <= delta
     levels = np.where(near, np.where(flagged, max(t - delta, 0.0), t + delta), t)
     merge_tol = 1e-12 * max(1.0, abs(line.window[0]), abs(line.window[1]))
-    matched = _matching_runs(ends, e_off, e_slope, flagged, levels, merge_tol)
+    matched = []
+    for start in range(0, len(pieces), BAND_CHUNK):
+        chunk = pieces[start:start + BAND_CHUNK]
+        ends = np.array([(p.lo, p.hi) for p in chunk])
+        e_off = a - np.array([p.recon_offset for p in chunk])
+        e_slope = b - np.array([p.recon_slope for p in chunk])
+        runs = _matching_runs(ends, e_off, e_slope, flagged, levels, merge_tol)
+        if matched and runs and runs[0][0] <= matched[-1][1] + merge_tol:
+            matched[-1] = (matched[-1][0], max(matched[-1][1], runs.pop(0)[1]))
+        matched += runs
     if not matched:
         raise NumericalDiagnosticError("no interval reproduces the observed mask")
     trunc = TruncationSet(tuple(matched))

@@ -339,7 +339,9 @@ class MaxPool2(Layer):
         v = off + slope * z_probe
         at_max = v == v.max(axis=0)
         slope_if_max = np.where(at_max, slope, -np.inf)
-        win = (at_max & (slope_if_max == slope_if_max.max(axis=0))).argmax(axis=0)
+        # the first winning row, without an argmax across the strided axis
+        lose = ~(at_max & (slope_if_max == slope_if_max.max(axis=0)))
+        win = lose[0] * (1 + lose[1] * (1 + lose[2]))
         pooled = comp.reshape(2, -1).take(win * n + np.arange(n), axis=1)
         ds = slope - pooled[1]
         overtaking = np.flatnonzero(ds > 0.0)

@@ -13,6 +13,8 @@ one ``(2, H, W)`` array, with a single ``scipy.ndimage.correlate`` whose
 bit for bit that of padding and adding the eight weighted shifted
 neighbours: the correlation skips the zero centre tap and sums
 ``0 + w0*x0 + w1*x1 + ...`` over the others in row-major order, as they did.
+``scipy.ndimage`` is imported by the first flow, so a process that never
+computes one (a scan or pool worker) does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DataError, ShapeError
 
@@ -124,6 +125,7 @@ def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
     gt = i2 - i1
     denom = smoothness ** 2 + gx * gx + gy * gy
 
+    from scipy import ndimage  # on first use: scan and pool workers never need it
     g = np.stack((gx, gy))
     uv = np.zeros_like(g)
     avg = np.empty_like(g)

@@ -136,7 +136,7 @@ class _LinePlan:
     of MB per plan at paper scale.
     """
 
-    def __init__(self, line: AffineLine, cond, weights: ModelWeights):
+    def __init__(self, line: AffineLine, cond, weights: ModelWeights, pixels=None):
         arch = weights.arch
         cond = _rows(cond, 1, arch.cond_count, "conditions")
         if line.a.size != arch.n_pixels:
@@ -157,13 +157,14 @@ class _LinePlan:
             if isinstance(layer, UpConv):
                 self.readers[self.layers.index(layer.skip)].append(k)
         self.stages_run = self.stages_skipped = 0
+        self.pixels = slice(None) if pixels is None else np.asarray(pixels)
 
     def evaluate(self, z_probe):
         """Affine forward with the pattern frozen at ``z_probe``.
 
-        Returns flattened reconstruction coefficients and the earliest
-        pattern crossing at or beyond the probe (inf if the pattern never
-        breaks).
+        Returns flattened reconstruction coefficients at the plan's
+        ``pixels`` (every pixel by default) and the earliest pattern
+        crossing at or beyond the probe (inf if the pattern never breaks).
         """
         layers, outputs, crossings = self.layers, self.outputs, self.crossings
         resume = z_probe >= self.probe
@@ -180,7 +181,7 @@ class _LinePlan:
         self.stages_run += ran
         self.stages_skipped += len(layers) - 1 - ran
         self.probe = z_probe
-        offset, slope = outputs[-1].reshape(2, -1)
+        offset, slope = outputs[-1].reshape(2, -1)[:, self.pixels]
         return offset, slope, min(crossings)
 
 
@@ -211,9 +212,15 @@ def scan_linear_pieces(eval_fn, window):
     return pieces
 
 
-def parametric_infer(line: AffineLine, cond, weights: ModelWeights) -> list:
+def parametric_infer(line: AffineLine, cond, weights: ModelWeights,
+                     pixels=None) -> list:
     """The pieces of ``scan_linear_pieces`` over the line's window, with
     exact reconstruction coefficients: on each piece the deterministic
     reconstruction of ``line.at(z)`` equals ``recon_offset + recon_slope * z``.
+
+    A piece keeps the coefficients of every pixel, or only those at the
+    flat indices ``pixels`` (one copy of those columns of the last stage's
+    pair per probe); the pieces' ends are the same either way.
     """
-    return scan_linear_pieces(_LinePlan(line, cond, weights).evaluate, line.window)
+    plan = _LinePlan(line, cond, weights, pixels)
+    return scan_linear_pieces(plan.evaluate, line.window)

@@ -109,24 +109,35 @@ class TestStatHelpers:
         assert not monotone_gap_significant(outcomes, 0.05, 0.1)
 
 
-def _loads_scipy_stats(code):
-    """Whether a fresh interpreter running ``code`` ends with scipy.stats loaded."""
+def _loads(code, module="scipy.stats"):
+    """Whether a fresh interpreter running ``code`` ends with ``module`` loaded."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
-                           "print('scipy.stats' in sys.modules)"],
+                           f"print({module!r} in sys.modules)"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()[-1] == "True"
 
 
 class TestFootprint:
-    """scipy.stats costs about 45 MB and 0.75 s to import; only the three
-    summary statistics load it, on first use, so scans, training and every
-    pool worker run without it."""
+    """scipy.stats costs about 45 MB and 0.75 s to import, scipy.ndimage
+    about 1.6 MB; only the three summary statistics load the first and only
+    the optical flow the second, each on first use, so scans and every pool
+    worker run without either, and training without scipy.stats."""
 
     @pytest.mark.parametrize("module", ["siad", "siad.cli", "siad.experiments"])
     def test_import_leaves_scipy_stats_unloaded(self, module):
-        assert not _loads_scipy_stats(f"import {module}")
+        assert not _loads(f"import {module}")
 
     def test_first_summary_statistic_loads_scipy_stats(self):
-        assert _loads_scipy_stats("import siad\nsiad.ks_statistic([0.2, 0.7])")
+        assert _loads("import siad\nsiad.ks_statistic([0.2, 0.7])")
+
+    @pytest.mark.parametrize("module", ["siad", "siad.cli", "siad.experiments"])
+    def test_import_leaves_scipy_ndimage_unloaded(self, module):
+        assert not _loads(f"import {module}", "scipy.ndimage")
+
+    def test_first_flow_loads_scipy_ndimage(self):
+        pair = "siad.ImagePair(np.zeros((4, 4)), np.ones((4, 4)), 1.0, 60.0)"
+        assert _loads("import sys\nimport numpy as np\nimport siad\n"
+                      "assert 'scipy.ndimage' not in sys.modules\n"
+                      f"siad.horn_schunck({pair})", "scipy.ndimage")

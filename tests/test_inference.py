@@ -1,11 +1,13 @@
 """Contrast construction, p-values, and the truncation machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from siad import inference
 from siad.anomaly import AnomalyMask, RoiMask, Threshold, detect
 from siad.errors import (DataError, DegenerateMaskError,
                          NumericalDiagnosticError)
@@ -16,8 +18,8 @@ from siad.inference import (STATUS_SKIPPED, STATUS_TESTED, NoiseModel,
                             naive_pvalue, selective_pvalue,
                             truncated_normal_pvalue,
                             truncation_region)
-from siad.model import ArchitectureSpec, init_weights, zero_weights
-from siad.parametric import AffineLine
+from siad.model import ArchitectureSpec, init_weights, reconstruct, zero_weights
+from siad.parametric import AffineLine, parametric_infer
 from siad.synth import gen_null_cohort
 
 
@@ -230,6 +232,51 @@ class TestTruncationRegion:
             if min(abs(z - e) for e in endpoints) <= step:
                 continue
             assert trunc.contains(float(z)) == (detect(line.at(z), cond, w, thr, roi) == mask)
+
+
+def _desk_case(seed):
+    """A seeded null map through an untrained desk-size network, with the
+    threshold at the 90% quantile of its ROI errors: the arguments of
+    ``truncation_region`` and the scan's pieces (over a thousand)."""
+    arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
+    w = init_weights(arch, seed)
+    x = gen_null_cohort(1, 16, 1.0, seed=seed)[0].reshape(-1)
+    cond = np.random.default_rng(seed).normal(size=2)
+    roi = RoiMask.centered_square(16)
+    err = np.abs(x - reconstruct(x.reshape(16, 16), cond, w).reshape(-1))[roi.indices]
+    thr = Threshold(value=float(np.quantile(err, 0.9)), source_quantile=0.9,
+                    calibration_count=1)
+    mask = detect(x, cond, w, thr, roi)
+    line, z_obs = line_decomposition(x, contrast_vector(mask, roi), NoiseModel(1.0))
+    return (line, cond, w, thr, roi, mask, z_obs), parametric_infer(line, cond, w)
+
+
+class TestBandChunks:
+    """The band pass takes the pieces ``BAND_CHUNK`` at a time, at the ROI
+    pixels only, and joins runs across chunks as it does within one."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_chunks_join_to_the_one_chunk_answer(self, monkeypatch, seed):
+        args, pieces = _desk_case(seed)
+        monkeypatch.setattr(inference, "BAND_CHUNK", len(pieces))
+        whole = truncation_region(*args).intervals
+        for k in (1, 2, 3):
+            monkeypatch.setattr(inference, "BAND_CHUNK", k)
+            assert truncation_region(*args).intervals == whole
+            cuts = [p.hi for p in pieces[k - 1:-1:k]]  # where one chunk ends
+            assert any(lo < c < hi for lo, hi in whole for c in cuts)
+
+    def test_peak_memory_below_a_pieces_by_pixels_array(self):
+        """The pass never holds all pieces' full images, nor stacks them."""
+        args, pieces = _desk_case(0)
+        assert len(pieces) >= 1000
+        tracemalloc.start()
+        try:
+            truncation_region(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(pieces) * args[0].a.size * 16
 
 
 class TestTruncatedNormalPvalue:

@@ -221,6 +221,21 @@ class TestStageCache:
         assert len(pieces) > 100
         assert plan.stages_run < len(pieces) * z_dependent
 
+    def test_pieces_at_roi_pixels_are_those_columns_of_the_full_scan(self):
+        """`test_desk_null_scan_reuses_stages`'s line, scanned at the ROI."""
+        arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
+        w = init_weights(arch, 7)
+        x = gen_null_cohort(1, 16, 1.0, seed=7)[0]
+        roi = RoiMask.centered_square(16)
+        eta = contrast_vector(AnomalyMask(roi.indices[:4]), roi)
+        line, _ = line_decomposition(x, eta, NoiseModel(1.0))
+        full = parametric_infer(line, np.zeros(2), w)
+        at_roi = parametric_infer(line, np.zeros(2), w, pixels=roi.indices)
+        assert [(p.lo, p.hi) for p in at_roi] == [(p.lo, p.hi) for p in full]
+        for p, q in zip(at_roi, full):
+            assert p.recon_offset.tobytes() == q.recon_offset[roi.indices].tobytes()
+            assert p.recon_slope.tobytes() == q.recon_slope[roi.indices].tobytes()
+
     def test_plan_is_freed_without_the_cycle_collector(self):
         """A plan holds every stage output; a reference cycle through its
         stages would keep them alive until the cyclic collector ran."""
