@@ -13,12 +13,14 @@ pattern is chosen:
 * ``backward(grad)`` uses the pattern of the last ``forward``, returns the
   gradient with respect to the layer's input, leaves the gradients of its
   weights in ``grads`` and drops what ``forward`` kept for it;
-* ``affine(pair, z_probe)`` runs on the values ``off + slope*z`` along a
-  line, stacked as a batch of two rows (offset, slope), and returns the
-  output pair and the nearest ``z > z_probe`` at which the pattern changes.
-  For a linear layer it is ``forward`` (crossing inf); only `Relu` and
-  `MaxPool2` define their own, which choose the pattern at ``z_probe``,
-  resolving exact zeros and ties by slope so it holds just to its right.
+* ``affine(pair, z_probe, changed)`` runs on the values ``off + slope*z``
+  along a line, stacked as a batch of two rows (offset, slope), and
+  returns the output pair and the nearest ``z > z_probe`` at which the
+  pattern changes (inf for a linear layer).  `Relu` and `MaxPool2` choose
+  the pattern at ``z_probe``, resolving exact zeros and ties by slope so
+  it holds just to its right.  ``changed`` is the region of the pair that
+  changed since the layer's last pass, and the pass leaves the region of
+  its output that changed in the layer's ``changed`` (see below).
 
 Biases and conditions enter the first ``len(cond)`` rows of a batch (every
 row if none are bound): all B rows of B images, the offset row of a pair.
@@ -45,12 +47,41 @@ windows of whichever side is narrower.  The decoder's `UpConv` never builds
 its upsample + skip concatenation: its output is the convolution of the
 skip half (with the bias) plus that of the up half, which is one GEMM at
 the input's resolution whose product planes are upsampled into the padded
-grid before the shifted sum.  The layer keeps the convolution of each half
-until that half's input is another array (the skip relu's output, or the
-layer's own input), so along a line a pass computes only the half whose
-input a rerun replaced.  A pool's ``affine`` returns the array it last
-returned when the new output equals it bit for bit, which tells a line's
-plan that the stages reading the pool need not rerun.
+grid before the shifted sum.
+
+A changed region is a pair of slices (rows, columns) of a map, over all
+channels: `WHOLE` for every pixel, None for none.  An affine pass given
+`WHOLE`, or on a map of fewer than `LOCAL_MIN` values a row, is a whole
+pass; otherwise it is local and recomputes, in the output it kept, only
+what the region reaches:
+
+* a convolution, the output pixels whose windows read the region,
+  computed on the crop of the input they read (`_patch`);
+* a relu or pool, the units in the region and those whose crossing the
+  probe reached: each keeps every unit's crossing, and a pass only takes
+  the minimum over them;
+* the decoder's `UpConv` keeps the convolution of each half and recomputes
+  only the half whose input changed (the pair, or the skip relu's output),
+  and only its patch.
+
+The latent head's pass is always whole: its dense maps spread any change
+over the whole map.
+
+A pool hands on None when no winner moved and no winner's value changed,
+which tells a line's plan that the stages reading it need not rerun; on a
+small map, whose passes are whole, it learns that by comparing its output
+with the one it last returned, bit for bit (so 0.0 is not -0.0).
+
+Local results equal a whole pass's to rounding, not bit for bit: the
+elementwise relu and pool work is the same, but a GEMM over a few rows
+may round differently from the one over every row.  Maps of the desk
+architecture hold at most 16 x 16 x 8 = 2,048 values a row and keep
+whole passes, and their bits; there, numpy's call overhead makes a local
+pass no faster.  Measured on one core, a relu local pass after one
+changed pixel costs about as much as a whole pass at 2,048 values a row,
+1.3-1.8x less at 4,096 and 2.3-3.3x less at 8,192 (a pool's 1.7-1.9x
+and 2.7-2.9x); the paper architecture's maps hold at least
+10 x 10 x 128 = 12,800.
 
 2x2 max pooling copies its input once into a competitor-major layout,
 (B, 4, H/2*W/2*C): each of the four places of a window is one contiguous
@@ -71,13 +102,74 @@ class Layer:
     shapes = ()
     grads = {}
 
+    # affine passes that recomputed only a changed region (each half of a
+    # decoder conv counts as one)
+    local_runs = 0
+
     def bind(self, params, cond=None, eps=None):
         """Takes the layer's weights from ``params`` (and, for the latent
         head, the condition rows and latent draws of the pass)."""
 
-    def affine(self, pair, z_probe):
-        """A linear layer's pass along a line: its forward, never a crossing."""
-        return self.forward(pair), np.inf
+
+WHOLE = (slice(None), slice(None))  # the changed region "every pixel"
+LOCAL_MIN = 4096  # values a row from which a map's reruns go local
+
+
+def _large(pair):
+    """Whether a map holds enough values a row for local reruns to pay."""
+    return pair.size >= LOCAL_MIN * len(pair)
+
+
+def _local(pair, changed):
+    """Whether an affine pass on ``pair`` recomputes only what ``changed``
+    reaches: a large map of which not every pixel changed."""
+    return changed is not WHOLE and _large(pair)
+
+
+def _union(a, b):
+    """The smallest region holding regions ``a`` and ``b`` (None: nothing)."""
+    if a is None or b is WHOLE:
+        return b
+    if b is None or a is WHOLE:
+        return a
+    return tuple(slice(min(s.start, t.start), max(s.stop, t.stop)) for s, t in zip(a, b))
+
+
+def _grow(region, p, h, w, scale=1):
+    """The pixels of an h x w "same" convolution of reach ``p`` that read
+    ``region`` of its input, upsampled ``scale`` times."""
+    rows, cols = region
+    return (slice(max(scale * rows.start - p, 0), min(scale * rows.stop + p, h)),
+            slice(max(scale * cols.start - p, 0), min(scale * cols.stop + p, w)))
+
+
+def _patch(conv, x, region, p, scale=1):
+    """``conv(x)[:, rows, cols]`` for ``region = (rows, cols)``, where
+    ``conv`` is a "same" convolution of reach ``p`` of ``x`` upsampled
+    ``scale`` times, computed on the crop of ``x`` that the region reads
+    (its zero padding is the map's only where the crop meets its edge)."""
+    (rows, cols), (h, w) = region, x.shape[1:3]
+    r0, c0 = max((rows.start - p) // scale, 0), max((cols.start - p) // scale, 0)
+    r1, c1 = min(-(-(rows.stop + p) // scale), h), min(-(-(cols.stop + p) // scale), w)
+    out = conv(x[:, r0:r1, c0:c1])
+    return out[:, rows.start - scale * r0:rows.stop - scale * r0,
+               cols.start - scale * c0:cols.stop - scale * c0]
+
+
+def _region_of(units, shape):
+    """The smallest region holding the flat units ``units`` of a (H, W, C)
+    map, None for no units."""
+    if units.size == 0:
+        return None
+    _, w, c = shape
+    rows, cols = units // (w * c), units // c % w
+    return slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1)
+
+
+def _differ(a, b):
+    """Per unit of two (offset, slope) pairs, whether their bits differ (so
+    0.0 differs from -0.0)."""
+    return (a.view(np.int64) != b.view(np.int64)).any(axis=0)
 
 
 def _pad(x, p):
@@ -207,6 +299,8 @@ def conv2d_backward(grad, x, kmat):
 class Conv(Layer):
     """Zero-padded "same" 2-D convolution with an odd square kernel."""
 
+    out = None  # the output pair ``affine`` last returned
+
     def __init__(self, name, c_in, c_out, k):
         self.shapes = ((f"{name}_w", (c_out, c_in, k, k)), (f"{name}_b", (c_out,)))
 
@@ -220,9 +314,35 @@ class Conv(Layer):
         (w_name, _), (b_name, _) = self.shapes
         self.grads = {w_name: grad_kmat.transpose(3, 0, 1, 2), b_name: grad_bias}
 
+    def _conv(self, x):
+        return conv2d(x, self.kmat, self.bias, self.biased)
+
     def forward(self, x):
         self.x = x
-        return conv2d(x, self.kmat, self.bias, self.biased)
+        return self._conv(x)
+
+    def affine(self, pair, z_probe, changed=WHOLE):
+        """The convolution of the pair, kept in ``out``.  On a large map only
+        the output pixels whose windows read the ``changed`` region of the
+        pair are recomputed, and ``changed`` becomes those pixels.  Never a
+        crossing."""
+        self.out, self.changed = self._rerun(self.out, self._conv, pair, changed)
+        return self.out, np.inf
+
+    def _rerun(self, kept, conv, x, changed, scale=1):
+        """(``conv(x)``, the region of it that changed) for a convolution
+        ``conv`` by this layer's kernel size of ``x`` upsampled ``scale``
+        times: a new array, or on a large ``x`` the ``kept`` one with the
+        pixels that read the ``changed`` region recomputed in place, from
+        the crop of ``x`` they read."""
+        if not _local(x, changed):
+            return conv(x), WHOLE
+        self.local_runs += 1
+        _, h, w, _ = x.shape
+        p = self.kmat.shape[1] // 2
+        region = _grow(changed, p, scale * h, scale * w, scale)
+        kept[(slice(None),) + region] = _patch(conv, x, region, p, scale)
+        return kept, region
 
     def backward(self, grad):
         grad_x, grad_kmat, grad_bias = conv2d_backward(grad, self.x, self.kmat)
@@ -273,18 +393,73 @@ class Relu(Layer):
         self.skip_grad = self.gate = self.out = None
         return grad
 
-    def affine(self, pair, z_probe):
+    def affine(self, pair, z_probe, changed=WHOLE):
         """A unit is on when its value at the probe is positive (an exact
         zero goes by the slope's sign).  On units with negative slope and
         off units with positive slope cross zero at -off/slope, which is
-        computed at those units only."""
-        off, slope = pair
-        v = off + slope * z_probe
-        rising = slope > 0.0
-        gate = (v > 0.0) | ((v == 0.0) & rising)
-        moving = np.flatnonzero((gate ^ rising) & (slope != 0.0))  # on falling, off rising
-        self.out = pair * gate
-        return self.out, _next_crossing(-off.take(moving) / slope.take(moving), z_probe)
+        computed at those units only.
+
+        A large map also keeps each unit's crossing (inf for none) in
+        ``zc``.  On a rerun it recomputes only the units of the ``changed``
+        region and those whose crossing the probe reached, in place, and
+        ``changed`` becomes the region of the outputs whose bits changed
+        (None for none)."""
+        if not _local(pair, changed):
+            off, slope = pair
+            gate, moving = _relu_pattern(off, slope, z_probe)
+            moving = np.flatnonzero(moving)
+            zc = -off.take(moving) / slope.take(moving)
+            self.out, self.changed = pair * gate, WHOLE
+            self.crossing = _next_crossing(zc, z_probe)
+            if _large(pair):  # ``zc`` is built by the first local pass
+                self.zc, self.sparse_zc = None, (off.shape, moving, zc)
+            return self.out, self.crossing
+        self.local_runs += 1
+        if self.zc is None:
+            self.zc = _scatter(*self.sparse_zc)
+        self.changed = None
+        if self.crossing <= z_probe:  # rerun the units whose crossing it reached
+            reached = np.flatnonzero(self.zc <= z_probe)
+            at = reached + [[0], [self.zc.size]]  # their flat indices in the pair
+            new, zc = _relu_units(pair.take(at), z_probe)
+            self.changed = _region_of(reached[_differ(new, self.out.take(at))], self.zc.shape)
+            self.out.put(at, new)
+            self.zc.put(reached, zc)
+        if changed is not None:
+            at = (slice(None),) + changed
+            new, self.zc[changed] = _relu_units(pair[at], z_probe)
+            if _differ(new, self.out[at]).any():
+                self.changed = _union(self.changed, changed)
+            self.out[at] = new
+        self.crossing = _next_crossing(self.zc, z_probe)
+        return self.out, self.crossing
+
+
+def _scatter(shape, where, values):
+    """An array of ``shape`` holding ``values`` at the flat indices
+    ``where`` and inf elsewhere."""
+    full = np.full(shape, np.inf)
+    full.reshape(-1)[where] = values
+    return full
+
+
+def _relu_units(pair, z_probe):
+    """(outputs, crossings) of relu units with (offset, slope) ``pair``: the
+    crossing of a unit whose pattern holds for good is inf."""
+    off, slope = pair
+    gate, moving = _relu_pattern(off, slope, z_probe)
+    zc = np.full(off.shape, np.inf)
+    zc[moving] = -off[moving] / slope[moving]
+    return pair * gate, zc
+
+
+def _relu_pattern(off, slope, z_probe):
+    """(gate, moving): whether each unit is on at the probe, and whether it
+    is on and falling or off and rising."""
+    v = off + slope * z_probe
+    rising = slope > 0.0
+    gate = (v > 0.0) | ((v == 0.0) & rising)
+    return gate, (gate ^ rising) & (slope != 0.0)
 
 
 def _competitors(x):
@@ -325,30 +500,86 @@ class MaxPool2(Layer):
         self.win = None
         return grad_comp.transpose(0, 3, 1, 4, 2, 5).reshape(b, h, w, c)
 
-    def affine(self, pair, z_probe):
+    def affine(self, pair, z_probe, changed=WHOLE):
         """Ties at the probe go to the competitor that wins just to the right
         (largest slope, then smallest index).  A competitor with a larger
-        slope than the winner overtakes it where their values meet.  An
-        output equal bit for bit to the last one returned (so 0.0 is not
-        -0.0) is returned as that same array, which tells a line's plan
-        that the stages reading it need not rerun."""
+        slope than the winner overtakes it where their values meet.
+
+        A small map's output equal bit for bit to the last one returned (so
+        0.0 is not -0.0) is returned as that same array with ``changed``
+        None, which tells a line's plan that the stages reading it need not
+        rerun.  A large map keeps each pooled unit's crossing in ``zc``
+        instead; a rerun recomputes only the pooled units that read the
+        ``changed`` region and those whose crossing the probe reached, in
+        place, and ``changed`` becomes the region of the outputs whose bits
+        changed (None when no winner moved and no winner's value changed)."""
         _, h, w, c = pair.shape
-        comp = _competitors(pair)
-        off, slope = comp  # (4, n): competitors on axis 0
-        n = off.shape[1]
-        v = off + slope * z_probe
-        at_max = v == v.max(axis=0)
-        slope_if_max = np.where(at_max, slope, -np.inf)
-        # the first winning row, without an argmax across the strided axis
-        lose = ~(at_max & (slope_if_max == slope_if_max.max(axis=0)))
-        win = lose[0] * (1 + lose[1] * (1 + lose[2]))
-        pooled = comp.reshape(2, -1).take(win * n + np.arange(n), axis=1)
-        ds = slope - pooled[1]
-        overtaking = np.flatnonzero(ds > 0.0)
-        zc = (pooled[0] - off).take(overtaking) / ds.take(overtaking)
-        if self.out is None or pooled.tobytes() != self.out.tobytes():
-            self.out = pooled.reshape(2, h // 2, w // 2, c)
-        return self.out, _next_crossing(zc, z_probe)
+        if not _local(pair, changed):
+            comp = _competitors(pair)
+            pooled, zc, overtaking = _pool_pattern(comp, z_probe)
+            self.crossing = _next_crossing(zc, z_probe)
+            if _large(pair):  # ``zc`` is built by the first local pass
+                self.zc, self.sparse_zc = None, (comp.shape[1:], overtaking, zc)
+            elif self.out is not None and pooled.tobytes() == self.out.tobytes():
+                self.changed = None
+                return self.out, self.crossing
+            self.out, self.changed = pooled.reshape(2, h // 2, w // 2, c), WHOLE
+            return self.out, self.crossing
+        self.local_runs += 1
+        if self.zc is None:
+            self.zc = _scatter(*self.sparse_zc).min(axis=0).reshape(h // 2, w // 2, c)
+        self.changed = None
+        if self.crossing <= z_probe:  # rerun the units whose crossing it reached
+            reached = np.flatnonzero(self.zc <= z_probe)
+            i, j, ch = np.unravel_index(reached, self.zc.shape)
+            # the window's four places in row-major order, as in
+            # `_competitors`, as flat indices into the offset, then the slope
+            places = ((2 * i + [[0], [0], [1], [1]]) * w + 2 * j + [[0], [1], [0], [1]]) * c + ch
+            pooled, zc = _pool_units(pair.take([places, places + pair[0].size]), z_probe)
+            at = reached + [[0], [self.zc.size]]
+            self.changed = _region_of(reached[_differ(pooled, self.out.take(at))], self.zc.shape)
+            self.out.put(at, pooled)
+            self.zc.put(reached, zc)
+        if changed is not None:
+            rows, cols = changed
+            r0, r1, c0, c1 = rows.start // 2, (rows.stop + 1) // 2, cols.start // 2, (cols.stop + 1) // 2
+            pooled, zc = _pool_units(_competitors(pair[:, 2 * r0:2 * r1, 2 * c0:2 * c1]),
+                                     z_probe)
+            box = slice(r0, r1), slice(c0, c1)
+            at = (slice(None),) + box
+            pooled = pooled.reshape(2, r1 - r0, c1 - c0, c)
+            if _differ(pooled, self.out[at]).any():
+                self.changed = _union(self.changed, box)
+            self.out[at] = pooled
+            self.zc[box] = zc.reshape(pooled.shape[1:])
+        self.crossing = _next_crossing(self.zc, z_probe)
+        return self.out, self.crossing
+
+
+def _pool_pattern(comp, z_probe):
+    """(pooled, zc, overtaking) for the competitors ``comp`` (2, 4, n) of n
+    pooled units: the winners' (offset, slope) pair (2, n) at the probe,
+    and where the competitors that overtake their winner do so, at their
+    flat indices ``overtaking`` into (4, n)."""
+    off, slope = comp  # (4, n): competitors on axis 0
+    n = off.shape[1]
+    v = off + slope * z_probe
+    at_max = v == v.max(axis=0)
+    slope_if_max = np.where(at_max, slope, -np.inf)
+    # the first winning row, without an argmax across the strided axis
+    lose = ~(at_max & (slope_if_max == slope_if_max.max(axis=0)))
+    win = lose[0] * (1 + lose[1] * (1 + lose[2]))
+    pooled = comp.reshape(2, -1).take(win * n + np.arange(n), axis=1)
+    ds = slope - pooled[1]
+    overtaking = np.flatnonzero(ds > 0.0)
+    return pooled, (pooled[0] - off).take(overtaking) / ds.take(overtaking), overtaking
+
+
+def _pool_units(comp, z_probe):
+    """(pooled, crossings) of the pooled units with competitors ``comp``:
+    each unit's nearest crossing, inf for none."""
+    pooled, zc, overtaking = _pool_pattern(comp, z_probe)
+    return pooled, _scatter(comp.shape[1:], overtaking, zc).min(axis=0)
 
 
 class LatentHead(Layer):
@@ -393,12 +624,26 @@ class LatentHead(Layer):
         z = self.mu
         if self.eps is not None:
             z = self.mu + np.exp(0.5 * self.logvar) * self.eps
+        self.zc, g = self._decode(z)
+        return g
+
+    def _decode(self, z):
+        """(the dense layer's input rows, its output map) for the latent
+        codes ``z``: the codes, then the conditions."""
         latent = z.shape[1]
-        self.zc = np.zeros((len(x), latent + self.cond.shape[1]))
-        self.zc[:, :latent] = z
-        self.zc[:self.biased, latent:] = self.cond
-        g = self._linear(self.zc, self.dense_mat, self.dense_b)
-        return g.reshape(len(x), *self.map_shape).transpose(0, 2, 3, 1)
+        zc = np.zeros((len(z), latent + self.cond.shape[1]))
+        zc[:, :latent] = z
+        zc[:self.biased, latent:] = self.cond
+        g = self._linear(zc, self.dense_mat, self.dense_b)
+        return zc, g.reshape(len(z), *self.map_shape).transpose(0, 2, 3, 1)
+
+    def affine(self, pair, z_probe, changed=WHOLE):
+        """The forward on the pair without the log-variance, which only the
+        training loss reads.  Every output depends on every input, so any
+        rerun changes the whole map.  Never a crossing."""
+        flat = pair.transpose(0, 3, 1, 2).reshape(len(pair), -1)
+        self.changed = WHOLE
+        return self._decode(self._linear(flat, self.mu_mat, self.mu_b))[1], np.inf
 
     def kl(self):
         """Closed-form KL(q(z|x) || N(0, I)) of the last forward's diagonal
@@ -431,12 +676,11 @@ class UpConv(Conv):
     skip (with the bias) plus that of the upsampled input.  Upsampling
     commutes with the per-pixel GEMM, so the second is one GEMM at the input's
     resolution whose product planes are upsampled into the padded grid
-    before the shifted sum.  The layer keeps each half until that half's
-    input changes: the skip half (``skip_conv``) for as long as
-    ``skip.out`` is the same array (``skip_in``), the up half
-    (``up_conv``) for as long as its input is (``x``).  Along a line a
-    pass then computes only the half whose input a rerun replaced;
-    ``backward`` drops both.
+    before the shifted sum.  Along a line, ``affine`` keeps each half, the
+    skip half in ``skip_conv`` and the up half in ``up_conv``, and a pass
+    recomputes only the half whose input changed, or only its changed
+    patch; ``forward`` computes both and ``backward`` drops what either
+    kept.
     """
 
     def __init__(self, name, c_in, c_out, k, skip: Relu):
@@ -463,14 +707,34 @@ class UpConv(Conv):
         up[...] = prod.reshape(b, h, 1, w, 1, n)
         return _shift_sum(planes, 2 * h, 2 * w)
 
+    def _skip_half(self, skip):
+        return conv2d(skip, self.skip_kmat, self.bias, self.biased)
+
     def forward(self, x):
-        if x is not self.x:
-            self.x = x
-            self.up_conv = self._up(x)
-        if self.skip.out is not self.skip_in:
+        self.x, self.skip_in = x, self.skip.out
+        return self._skip_half(self.skip_in) + self._up(x)
+
+    def affine(self, pair, z_probe, changed=WHOLE, skip_changed=WHOLE):
+        """``changed`` is the region of the pair, and ``skip_changed`` that
+        of the skip relu's output, that changed since the last pass (None:
+        nothing).  The pass recomputes only the half whose input changed,
+        and on a large input only the patch of that half the change
+        reaches, in place (`Conv.affine`); ``changed`` becomes the region
+        of the output whose halves changed.  Never a crossing."""
+        up = skip = None
+        if changed is not None:
+            self.up_conv, up = self._rerun(self.up_conv, self._up, pair, changed, 2)
+        if skip_changed is not None:
             self.skip_in = self.skip.out
-            self.skip_conv = conv2d(self.skip_in, self.skip_kmat, self.bias, self.biased)
-        return self.skip_conv + self.up_conv
+            self.skip_conv, skip = self._rerun(self.skip_conv, self._skip_half,
+                                               self.skip_in, skip_changed)
+        self.changed = region = _union(up, skip)
+        if region is WHOLE:
+            self.out = self.skip_conv + self.up_conv
+        elif region is not None:
+            at = (slice(None),) + region
+            self.out[at] = self.skip_conv[at] + self.up_conv[at]
+        return self.out, np.inf
 
     def backward(self, grad):
         """The skip half's gradient is left in ``skip.skip_grad``.  The up

@@ -12,27 +12,42 @@ That crossing ends the piece and starts the next one.
 The stages of the forward pass are the model's layer list (each conv, relu
 and maxpool of the encoder, the latent head, the dense relu, each decoder
 upsample + skip + conv and each decoder relu), run by their ``affine``
-pass (for a linear layer, its ``forward`` on the offset/slope pair), and
-the plan for a line keeps every stage's output and crossing from the
-previous probe.  A stage's output depends only on its inputs (the
-previous stage's output and, for a decoder conv, its skip relu's output)
-and on the pattern it fixes at the probe, and that pattern is the same at
-every ``z`` between the previous probe and the stage's crossing.  (Where
-rounding puts a probe that sits exactly on a tie on the wrong side of it,
-the stage reports the probe itself as its crossing, so that holds there
-too.)  So on a probe to the right of the previous one a stage reruns only
-when the probe has reached its crossing or one of its inputs changed;
-every other stage keeps its output and its crossing, which are the ones a
-rerun would give (the tests compare them bit for bit), and the pieces do
-not change.  Only a pool can rerun to an output equal bit for bit to the
-kept one (its winners did not move); it then returns its kept array, which
-counts as unchanged, so the stages reading it need not rerun for its sake.
-This is the early cutoff of build systems (Mokhov, Mitchell & Peyton
-Jones, *Build systems a la carte*, 2018).  A breakpoint flips the pattern
-of one layer, so a piece costs that layer and only those stages
-downstream whose inputs it actually changes; after an encoder relu flips,
-a pool whose winners did not move usually ends the pass.  A probe to the
-left of the previous one recomputes every stage that depends on ``z``.
+pass, and the plan for a line keeps every stage's output and crossing
+from the previous probe.  A stage's output depends only on its inputs
+(the previous stage's output and, for a decoder conv, its skip relu's
+output) and on the pattern it fixes at the probe, and that pattern is the
+same at every ``z`` between the previous probe and the stage's crossing.
+(Where rounding puts a probe that sits exactly on a tie on the wrong side
+of it, the stage reports the probe itself as its crossing, so that holds
+there too.)  So on a probe to the right of the previous one a stage
+reruns only when the probe has reached its crossing or one of its inputs
+changed; every other stage keeps its output and its crossing, which are
+the ones a rerun would give.  This is the early cutoff of build systems
+(Mokhov, Mitchell & Peyton Jones, *Build systems a la carte*, 2018).
+
+Each stage's affine pass is given the region of each of its inputs that
+changed at this probe (`ops.WHOLE` on the first probe and on a probe to
+the left of the previous one, which recompute every stage that depends on
+``z``), and it hands on the region of its own output that changed; a
+stage none of whose inputs changed and whose crossing the probe has not
+reached does not run.  A breakpoint flips one relu unit or moves one pool
+winner, and in the encoder that change stays local: a few units, then
+the patch of the next convolution that reads them, and so on.  On the
+paper architecture's maps a stage recomputes only that region (a local
+pass, counted by ``stages_local``); it spreads only at the latent head,
+whose dense maps change every pixel, while the decoder's skip halves and
+the patches after a decoder relu flip stay local.  A pool whose winners
+did not move hands on no change, so the stages reading it need not
+rerun; after an encoder relu flips, that usually ends the pass.  Local
+passes match whole ones to rounding, not bit for bit (a GEMM over a few
+rows may round differently from the full one); the tests compare them to
+a few ulps.  The desk architecture's maps are too small for a local pass
+to pay (`ops.LOCAL_MIN`), so its stages keep whole passes and their bits:
+a kept stage there equals a fresh plan's bit for bit, as the tests check,
+and a small pool learns that it did not change by comparing its output
+with the kept one.  This is self-adjusting computation (Acar, PhD thesis,
+CMU 2005) and change-based CNN inference (Cavigelli & Benini, *CBinfer*,
+IEEE TCSVT 2019), recomputing values rather than propagating deltas.
 
 Crossings closer than ``PROGRESS_TOL`` to the probe are skipped so the scan
 always advances; the induced value error is bounded by the layer slopes
@@ -50,7 +65,8 @@ channel side (gathered windows, or product planes summed shifted in one
 strided reduction) against a kernel laid out once per line, when the plan
 binds the layers; a decoder conv adds the convolution of its skip half
 to that of its upsampled half (one GEMM at the lower resolution) and
-keeps each half until that half's input changes; pooling reads its
+keeps each half until that half's input changes; the latent head skips
+the log-variance, which only training reads; pooling reads its
 windows in one competitor-major copy; and a relu or pool divides for
 crossings only at the units that flip.  Batching several lines or
 subjects in lockstep does not pay here: a step's cost grows almost
@@ -65,7 +81,7 @@ import numpy as np
 
 from .errors import NumericalDiagnosticError, ShapeError
 from .model import ModelWeights, _rows, network
-from .ops import UpConv
+from .ops import WHOLE, UpConv
 
 PIECE_CAP = 10 ** 6  # a scan with more pieces is a numerical fault
 PROGRESS_TOL = 1e-12
@@ -122,14 +138,15 @@ class _LinePlan:
 
     On a probe at or to the right of the previous one, ``evaluate`` reruns
     stage ``k`` only if the probe reached its crossing or a stage it reads
-    changed, that is, returned a different array.  Only a pool can rerun to
-    an output equal bit for bit to its last one, and it then returns that
-    same array; every other stage returns a new one.  A kept output and
-    crossing are exact because the stage's inputs are the same arrays and
-    its pattern holds up to its crossing.  A probe to the left reruns every
-    stage.  ``stages_run`` counts the stages ``evaluate`` has computed,
+    changed, and passes it the region of each of those inputs that
+    changed (None: none); the stage leaves the region of its output that
+    changed in its ``changed``.  A kept output and crossing are exact
+    because the stage's inputs did not change and its pattern holds up to
+    its crossing.  A probe to the left reruns every stage on the whole
+    map.  ``stages_run`` counts the stages ``evaluate`` has computed,
     ``stages_skipped`` those it kept; together they are the probes times
-    the stages after the first.
+    the stages after the first.  ``stages_local`` counts the runs that
+    recomputed only a changed region.
 
     No stage refers back to the plan: such a reference cycle would keep
     every stage output alive until the cyclic garbage collector ran, tens
@@ -151,13 +168,23 @@ class _LinePlan:
         self.crossings = [np.inf] * len(self.layers)
         self.probe = np.inf  # no stage after the first has run yet
         # the stages reading each stage's output: the next one and, for an
-        # encoder relu, the decoder conv that takes it as its skip
+        # encoder relu, the decoder conv that takes it as its skip (its
+        # second input, ``skips[k]``)
         self.readers = [[k + 1] for k in range(len(self.layers) - 1)] + [[]]
+        self.skips = [None] * len(self.layers)
         for k, layer in enumerate(self.layers):
             if isinstance(layer, UpConv):
-                self.readers[self.layers.index(layer.skip)].append(k)
+                self.skips[k] = self.layers.index(layer.skip)
+                self.readers[self.skips[k]].append(k)
         self.stages_run = self.stages_skipped = 0
-        self.pixels = slice(None) if pixels is None else np.asarray(pixels)
+        # indices, so that a piece holds a copy: a local pass changes the
+        # last stage's output in place
+        self.pixels = np.arange(arch.n_pixels) if pixels is None else np.asarray(pixels)
+
+    @property
+    def stages_local(self):
+        """The stage reruns that recomputed only a changed region."""
+        return sum(layer.local_runs for layer in self.layers)
 
     def evaluate(self, z_probe):
         """Affine forward with the pattern frozen at ``z_probe``.
@@ -169,12 +196,17 @@ class _LinePlan:
         layers, outputs, crossings = self.layers, self.outputs, self.crossings
         resume = z_probe >= self.probe
         rerun = [not resume or c <= z_probe for c in crossings]
+        # the region of each stage's output that this probe changed
+        changed = [None if resume else WHOLE] * len(layers)
         for k in range(1, len(layers)):
             if not rerun[k]:
                 continue
-            out, crossings[k] = layers[k].affine(outputs[k - 1], z_probe)
-            if out is not outputs[k]:  # a pool returns its kept array if equal
-                outputs[k] = out
+            inputs = (outputs[k - 1], z_probe, changed[k - 1])
+            if self.skips[k] is not None:
+                inputs += (changed[self.skips[k]],)
+            outputs[k], crossings[k] = layers[k].affine(*inputs)
+            if resume and layers[k].changed is not None:
+                changed[k] = layers[k].changed
                 for reader in self.readers[k]:
                     rerun[reader] = True
         ran = sum(rerun[1:])

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import within_ulps
 
 from siad.errors import ShapeError
 from siad.model import ArchitectureSpec, ModelWeights, init_weights
-from siad.ops import (Conv, LatentHead, MaxPool2, Relu, UpConv, _shift_sum, conv2d,
-                      conv2d_backward)
+from siad.ops import (LOCAL_MIN, WHOLE, Conv, LatentHead, MaxPool2, Relu, UpConv, _shift_sum,
+                      conv2d, conv2d_backward)
 
 # (c_in, c_out): fewer inputs than outputs, as many, more, and one output
 CHANNEL_PAIRS = [(2, 5), (4, 4), (5, 2), (3, 1)]
@@ -248,17 +249,22 @@ class TestUpConv:
 
     def test_affine_matches_reference_and_reuses_the_skip_half(self):
         """Each half is kept until its input changes: the skip half while
-        the skip relu's output is the same array, the up half while the
-        pair is; either way the output is a fresh layer's, bit for bit."""
+        the skip relu's output has not changed, the up half while the pair
+        has not (their changed regions are None); either way the output is
+        a fresh layer's, bit for bit."""
         rng = np.random.default_rng(40)
         layer, kernel, bias = _decoder(rng, 3, 2, 3, (2, 6, 8, 3), ONE_ROW)
         for step in range(6):
+            changed = skip_changed = None
             if step in (2, 4, 5):  # the skip relu recomputes: a new output array
                 layer.skip.affine(rng.normal(size=(2, 6, 8, 3)), 0.0)
+            if step in (0, 2, 4, 5):
+                skip_changed = WHOLE
             if step < 4:  # from step 4 on, only the skip relu reruns
                 pair = rng.normal(size=(2, 3, 4, 3))
+                changed = WHOLE
             up_conv = layer.up_conv
-            out, crossing = layer.affine(pair, 0.0)
+            out, crossing = layer.affine(pair, 0.0, changed, skip_changed)
             assert crossing == np.inf
             np.testing.assert_allclose(
                 out, _reference_conv(_up_cat(pair, layer.skip.out), kernel, bias, 1),
@@ -337,6 +343,119 @@ class TestBiasRows:
         for got, want in ((head.mu, mu), (head.logvar, logvar),
                           (out, g.reshape(2, 3, 2, 2).transpose(0, 2, 3, 1))):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_latent_head_affine_is_its_forward(self):
+        """Along a line the head skips the log-variance, which only the
+        training loss reads; its output has the forward's bits."""
+        rng = np.random.default_rng(63)
+        head = LatentHead(3, 2, 4, 2)
+        head.bind({name: rng.normal(size=shape) for name, shape in head.shapes},
+                  rng.normal(size=(1, 2)))
+        pair = rng.normal(size=(2, 2, 2, 3))
+        out, crossing = head.affine(pair, 0.0)
+        assert crossing == np.inf and head.changed is WHOLE
+        _same_bits(out, head.forward(pair))
+
+
+def _local_regions(rng, side):
+    """Changed regions of a side x side map: one at a corner, then three
+    random ones of one to four pixels a side."""
+    yield slice(0, 2), slice(side - 3, side)
+    for _ in range(3):
+        (r0, c0), (h, w) = rng.integers(0, side, size=2), rng.integers(1, 5, size=2)
+        yield slice(r0, min(r0 + h, side)), slice(c0, min(c0 + w, side))
+
+
+def _changed_in(rng, arr, region):
+    """A copy of ``arr`` with new values in ``region`` of its image axes."""
+    arr = arr.copy()
+    at = (slice(None),) + region
+    arr[at] = rng.normal(size=arr[at].shape)
+    return arr
+
+
+def _same_outside(got, before, region):
+    """``got`` keeps the bits of ``before`` outside ``region`` (None: all)."""
+    keep = np.ones(got.shape[1:3], dtype=bool)
+    if region is not None:
+        keep[region] = False
+    _same_bits(got[:, keep], before[:, keep])
+
+
+class TestLocalRerun:
+    """On a map of at least LOCAL_MIN values a row, an affine pass given the
+    region of its input that changed recomputes only what that region
+    reaches, in place, and leaves that output region in ``changed``.  Its
+    output equals a whole pass's: relu and pooling bit for bit, the
+    convolutions to a few ulps (a GEMM over fewer rows may round
+    differently); outside ``changed`` it keeps its bits."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [Relu, MaxPool2])
+    def test_relu_and_pool(self, kind, seed):
+        """Each probe sits exactly on the previous crossing, so the units it
+        reached rerun along with the changed region; the last probe
+        changes no input."""
+        rng = np.random.default_rng(seed)
+        pair = rng.normal(size=(2, 16, 16, 32))
+        assert pair[0].size >= LOCAL_MIN
+        layer = kind()
+        _, z = layer.affine(pair, 0.0)
+        for region in list(_local_regions(rng, 16)) + [None]:
+            before = layer.out.copy()
+            if region is not None:
+                pair = _changed_in(rng, pair, region)
+            out, crossing = layer.affine(pair, z, region)
+            want, want_crossing = kind().affine(pair, z)
+            _same_bits(out, want)
+            assert crossing == want_crossing
+            _same_outside(out, before, layer.changed)
+            z = crossing
+        assert layer.local_runs == 5
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("c_in,c_out", [(16, 32), (32, 16)])
+    def test_conv(self, c_in, c_out, seed):
+        rng = np.random.default_rng(10 + seed)
+        kernel, bias = rng.normal(size=(c_out, c_in, 3, 3)), rng.normal(size=c_out)
+        conv = _conv(kernel, bias, ONE_ROW)
+        pair = rng.normal(size=(2, 16, 16, c_in))
+        conv.affine(pair, 0.0)
+        for region in _local_regions(rng, 16):
+            before = conv.out.copy()
+            pair = _changed_in(rng, pair, region)
+            out, _ = conv.affine(pair, 0.0, region)
+            within_ulps(out, _conv(kernel, bias, ONE_ROW).forward(pair))
+            _same_outside(out, before, conv.changed)
+        assert conv.local_runs == 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("c_out", [1, 24])
+    def test_decoder_conv_halves(self, c_out, seed):
+        """The up half after a change of the pair, then the skip half after a
+        change of the skip relu's output, each against a fresh layer."""
+        rng = np.random.default_rng(20 + seed)
+        layer, kernel, bias = _decoder(rng, 16, c_out, 3, (2, 32, 32, 16), ONE_ROW)
+        pair = rng.normal(size=(2, 16, 16, 16))
+        layer.affine(pair, 0.0)
+
+        def check(before):
+            fresh = UpConv("u", 32, c_out, 3, layer.skip)
+            fresh.bind({"u_w": kernel, "u_b": bias}, ONE_ROW)
+            within_ulps(out, fresh.affine(pair, 0.0)[0])
+            _same_outside(out, before, layer.changed)
+
+        for region in _local_regions(rng, 16):
+            before = layer.out.copy()
+            pair = _changed_in(rng, pair, region)
+            out, _ = layer.affine(pair, 0.0, region, None)
+            check(before)
+        for region in _local_regions(rng, 32):
+            before = layer.out.copy()
+            layer.skip.out[:] = _changed_in(rng, layer.skip.out, region)
+            out, _ = layer.affine(pair, 0.0, None, region)
+            check(before)
+        assert layer.local_runs == 8
 
 
 class TestRelu:

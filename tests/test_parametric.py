@@ -5,13 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import within_ulps
 
 from siad import parametric
 from siad.anomaly import AnomalyMask, RoiMask
 from siad.errors import NumericalDiagnosticError
 from siad.inference import NoiseModel, contrast_vector, line_decomposition
 from siad.model import ArchitectureSpec, init_weights, reconstruct, zero_weights
-from siad.ops import MaxPool2, Relu, UpConv
+from siad.ops import Conv, MaxPool2, Relu, UpConv
 from siad.parametric import AffineLine, _LinePlan, parametric_infer, scan_linear_pieces
 from siad.synth import gen_null_cohort
 
@@ -165,6 +166,9 @@ def _assert_same_as_fresh(plan, line, cond, w, z):
     return got
 
 
+# 32 x 32 x 16 and 16 x 16 x 32 maps take the local path, the 8 x 8 x 32 ones not
+_LOCAL_ARCH = ArchitectureSpec(side=32, channels=(16, 32), latent_dim=3)
+
 # the architectures of `test_every_probe_of_a_scan_matches_a_fresh_plan`
 _SCAN_CASES = [
     (ArchitectureSpec(side=4, channels=(3, 4), latent_dim=2), 0),
@@ -220,6 +224,55 @@ class TestStageCache:
         z_dependent = len(plan.layers) - 1
         assert len(pieces) > 100
         assert plan.stages_run < len(pieces) * z_dependent
+
+    def test_desk_line_takes_no_local_rerun(self):
+        """`test_desk_null_scan_reuses_stages`'s line: no desk map holds
+        `ops.LOCAL_MIN` values a row, so every rerun is a whole pass."""
+        arch = ArchitectureSpec(side=16, channels=(8, 16), latent_dim=4)
+        x = gen_null_cohort(1, 16, 1.0, seed=7)[0]
+        roi = RoiMask.centered_square(16)
+        eta = contrast_vector(AnomalyMask(roi.indices[:4]), roi)
+        line, _ = line_decomposition(x, eta, NoiseModel(1.0))
+        plan = _LinePlan(line, np.zeros(2), init_weights(arch, 7))
+        assert len(scan_linear_pieces(plan.evaluate, line.window)) > 100
+        assert plan.stages_local == 0 and plan.stages_run > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_local_stages_match_a_fresh_plan_to_a_few_ulps(self, seed):
+        """Where the maps are large, a rerun recomputes only the region its
+        inputs changed in, and a convolution over fewer rows may round
+        differently, so every stage output and crossing equals a fresh
+        plan's to a few ulps: along a scan, at probes exactly at the
+        previous crossing, and to the left and back."""
+        w = init_weights(_LOCAL_ARCH, seed)
+        rng = np.random.default_rng(seed)
+        cond = rng.normal(size=2)
+        n = _LOCAL_ARCH.n_pixels
+        # a random 32 x 32 line breaks about every 1e-4
+        line = AffineLine(rng.normal(size=n), rng.normal(size=n), (0.0, 0.005))
+        plan = _LinePlan(line, cond, w)
+
+        def evaluate(z):
+            got = plan.evaluate(z)
+            fresh = _LinePlan(line, cond, w)
+            fresh.evaluate(z)
+            for out, want in zip(plan.outputs, fresh.outputs):
+                within_ulps(out, want)
+            within_ulps(plan.crossings, fresh.crossings)
+            return got
+
+        pieces = scan_linear_pieces(evaluate, line.window)
+        z = 0.0
+        for _ in range(5):  # each probe exactly at the previous crossing
+            z = evaluate(z)[2]
+        for z in (0.004, 0.001, 0.002):
+            evaluate(z)
+        assert len(pieces) > 30
+        local = {type(layer): 0 for layer in plan.layers}
+        for layer in plan.layers:
+            local[type(layer)] += layer.local_runs
+        assert all(local[kind] > 0 for kind in (Relu, MaxPool2, Conv, UpConv))
+        assert plan.stages_local == sum(local.values())
 
     def test_pieces_at_roi_pixels_are_those_columns_of_the_full_scan(self):
         """`test_desk_null_scan_reuses_stages`'s line, scanned at the ROI."""
