@@ -64,8 +64,7 @@ class Threshold:
     def __post_init__(self):
         if not self.value >= 0:
             raise DataError(f"threshold must be nonnegative, got {self.value}")
-        if not 0 < self.source_quantile < 1:
-            raise DataError(f"quantile must be in (0,1), got {self.source_quantile}")
+        _check_quantile(self.source_quantile)
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,11 @@ def reconstruction_error(x: np.ndarray, recon: np.ndarray) -> np.ndarray:
     return x - recon
 
 
+def _check_quantile(q):
+    if not 0 < q < 1:
+        raise DataError(f"quantile must be in (0,1), got {q}")
+
+
 def calibrate_threshold(healthy_errors, roi: RoiMask, q: float) -> Threshold:
     """Nearest-rank empirical q-quantile of pooled |error| over ROI pixels.
 
@@ -108,8 +112,7 @@ def calibrate_threshold(healthy_errors, roi: RoiMask, q: float) -> Threshold:
     ``"inverted_cdf"`` quantile), so the returned value is always one of the
     observed errors (reproducible, no interpolation).
     """
-    if not 0 < q < 1:
-        raise DataError(f"quantile must be in (0,1), got {q}")
+    _check_quantile(q)
     pools = []
     for err in healthy_errors:
         flat = np.asarray(err, dtype=np.float64).reshape(-1)

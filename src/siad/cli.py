@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .anomaly import RoiMask, calibrate_threshold, reconstruction_error
-from .errors import DataError, NumericalDiagnosticError, ShapeError, SiadError
+from .anomaly import RoiMask, _check_quantile, calibrate_threshold, reconstruction_error
+from .errors import DataError, NumericalDiagnosticError, SiadError
 from .experiments import (evaluate_cohort, histogram_counts, ks_critical,
                           rejection_summary, skip_count, tested_pvalues)
 from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
@@ -32,8 +32,8 @@ from .fileio import (read_cohort_manifest, read_map, read_noise, read_roi,
 from .inference import NoiseModel, estimate_noise, ks_statistic
 from .model import ArchitectureSpec, reconstruct
 from .opticalflow import standardize_conditions
-from .synth import (CohortSpec, SignalSpec, gen_diseased, gen_null_cohort, make_cohort,
-                    subject_conditions)
+from .synth import (CohortSpec, SignalSpec, _check_count, gen_diseased, gen_null_cohort,
+                    make_cohort, subject_conditions)
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -89,10 +89,22 @@ class RunConfig:
         for name, ok, rule in checks:
             if not ok:
                 raise DataError(f"config value {name} = {getattr(self, name)!r}: {rule}")
-        try:
-            self.arch  # the architecture's own checks, before any file is written
-        except ShapeError as exc:
-            raise DataError(f"config values side, channels, latent: {exc}") from None
+        # the rules of what the commands build from these values: a value
+        # that the command reading it would refuse stops every command
+        rules = [("side, channels, latent", lambda: self.arch),
+                 ("epochs, lr, batch_size", self._train_config),
+                 ("quantile", lambda: _check_quantile(self.quantile)),
+                 ("roi_fraction", lambda: RoiMask.centered_square(self.side, self.roi_fraction)),
+                 ("n_null", lambda: _check_count(self.n_null))]
+        for names, rule in rules:
+            try:
+                rule()
+            except SiadError as exc:
+                raise DataError(f"config values {names}: {exc}") from None
+
+    def _train_config(self) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, lr=self.lr, batch_size=self.batch_size,
+                           seed=self.seed)
 
     @property
     def arch(self) -> ArchitectureSpec:
@@ -265,9 +277,7 @@ def cmd_generate(cfg: RunConfig, paths: _Paths, args) -> int:
 def cmd_train(cfg: RunConfig, paths: _Paths, args) -> int:
     subjects, _ = _load_cohort(cfg, paths)
     dataset = list(zip(*_by_role(subjects, "train")))
-    config = TrainConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
-                         seed=cfg.seed)
-    result = train(dataset, cfg.arch, config)
+    result = train(dataset, cfg.arch, cfg._train_config())
     write_weights(paths.weights, result.weights)
     write_rows(paths.curve, ["epoch", "train_loss", "holdout_loss", "early_stop"],
                [[r.epoch, repr(r.train_loss), repr(r.holdout_loss), int(r.early_stopped)]

@@ -58,8 +58,8 @@ what the region reaches:
 * a convolution, the output pixels whose windows read the region,
   computed on the crop of the input they read (`_patch`);
 * a relu or pool, the units in the region and those whose crossing the
-  probe reached: each keeps every unit's crossing, and a pass only takes
-  the minimum over them;
+  probe reached: both run one unit pass (`_unit_pass`), whose whole pass
+  too keeps every unit's crossing, so a pass only takes their minimum;
 * the decoder's `UpConv` keeps the convolution of each half and recomputes
   only the half whose input changed (the pair, or the skip relu's output),
   and only its patch.
@@ -118,12 +118,6 @@ LOCAL_MIN = 4096  # values a row from which a map's reruns go local
 def _large(pair):
     """Whether a map holds enough values a row for local reruns to pay."""
     return pair.size >= LOCAL_MIN * len(pair)
-
-
-def _local(pair, changed):
-    """Whether an affine pass on ``pair`` recomputes only what ``changed``
-    reaches: a large map of which not every pixel changed."""
-    return changed is not WHOLE and _large(pair)
 
 
 def _union(a, b):
@@ -335,7 +329,7 @@ class Conv(Layer):
         times: a new array, or on a large ``x`` the ``kept`` one with the
         pixels that read the ``changed`` region recomputed in place, from
         the crop of ``x`` they read."""
-        if not _local(x, changed):
+        if changed is WHOLE or not _large(x):
             return conv(x), WHOLE
         self.local_runs += 1
         _, h, w, _ = x.shape
@@ -373,6 +367,42 @@ def _next_crossing(zc, z_probe):
     return float(max(zc.min(initial=np.inf), z_probe))
 
 
+def _unit_pass(layer, units, gather, reach, pair, z_probe, changed):
+    """A relu's or pool's affine pass on a large map, which keeps each output
+    unit's crossing (inf for none) in ``zc``.  ``units(inputs, z_probe)``
+    gives the (outputs, crossings) of units from their inputs, ``gather(pair,
+    flat)`` the inputs of the units at flat indices of an output image, and
+    ``reach(pair, region)`` the output box an input region reaches, with
+    that box's inputs.  A rerun recomputes, in place, the units whose
+    crossing the probe reached and the box that ``changed`` reaches, and
+    ``changed`` becomes the region of the outputs whose bits changed."""
+    whole, out_changed = changed is WHOLE, None
+    if whole:
+        changed = slice(0, pair.shape[1]), slice(0, pair.shape[2])
+    else:
+        layer.local_runs += 1
+        if layer.crossing <= z_probe:  # rerun the units whose crossing it reached
+            reached = np.flatnonzero(layer.zc <= z_probe)
+            at = reached + [[0], [layer.zc.size]]  # their flat indices in ``out``
+            new, zc = units(gather(pair, reached), z_probe)
+            out_changed = _region_of(reached[_differ(new, layer.out.take(at))], layer.zc.shape)
+            layer.out.put(at, new)
+            layer.zc.put(reached, zc)
+    if changed is not None:
+        box, inputs = reach(pair, changed)
+        (rows, cols), (new, zc) = box, units(inputs, z_probe)
+        new = new.reshape(2, rows.stop - rows.start, cols.stop - cols.start, -1)
+        if whole:
+            layer.out, layer.zc, out_changed = new, zc.reshape(new.shape[1:]), WHOLE
+        else:
+            at = (slice(None),) + box
+            if _differ(new, layer.out[at]).any():
+                out_changed = _union(out_changed, box)
+            layer.out[at], layer.zc[box] = new, zc.reshape(new.shape[1:])
+    layer.changed, layer.crossing = out_changed, _next_crossing(layer.zc, z_probe)
+    return layer.out, layer.crossing
+
+
 class Relu(Layer):
     """max(v, 0) as a 0/1 gate.  An encoder relu whose output the decoder
     also reads (a skip) keeps that output in ``out`` and, in its own
@@ -397,50 +427,25 @@ class Relu(Layer):
         """A unit is on when its value at the probe is positive (an exact
         zero goes by the slope's sign).  On units with negative slope and
         off units with positive slope cross zero at -off/slope, which is
-        computed at those units only.
-
-        A large map also keeps each unit's crossing (inf for none) in
-        ``zc``.  On a rerun it recomputes only the units of the ``changed``
-        region and those whose crossing the probe reached, in place, and
-        ``changed`` becomes the region of the outputs whose bits changed
-        (None for none)."""
-        if not _local(pair, changed):
-            off, slope = pair
-            gate, moving = _relu_pattern(off, slope, z_probe)
-            moving = np.flatnonzero(moving)
-            zc = -off.take(moving) / slope.take(moving)
-            self.out, self.changed = pair * gate, WHOLE
-            self.crossing = _next_crossing(zc, z_probe)
-            if _large(pair):  # ``zc`` is built by the first local pass
-                self.zc, self.sparse_zc = None, (off.shape, moving, zc)
-            return self.out, self.crossing
-        self.local_runs += 1
-        if self.zc is None:
-            self.zc = _scatter(*self.sparse_zc)
-        self.changed = None
-        if self.crossing <= z_probe:  # rerun the units whose crossing it reached
-            reached = np.flatnonzero(self.zc <= z_probe)
-            at = reached + [[0], [self.zc.size]]  # their flat indices in the pair
-            new, zc = _relu_units(pair.take(at), z_probe)
-            self.changed = _region_of(reached[_differ(new, self.out.take(at))], self.zc.shape)
-            self.out.put(at, new)
-            self.zc.put(reached, zc)
-        if changed is not None:
-            at = (slice(None),) + changed
-            new, self.zc[changed] = _relu_units(pair[at], z_probe)
-            if _differ(new, self.out[at]).any():
-                self.changed = _union(self.changed, changed)
-            self.out[at] = new
-        self.crossing = _next_crossing(self.zc, z_probe)
+        computed at those units only.  A large map runs `_unit_pass`: a
+        unit reads its own input, and a region reaches the same region."""
+        if _large(pair):
+            return _unit_pass(self, _relu_units, _relu_gather, _relu_reach,
+                              pair, z_probe, changed)
+        off, slope = pair
+        gate, moving = _relu_pattern(off, slope, z_probe)
+        moving = np.flatnonzero(moving)
+        self.out, self.changed = pair * gate, WHOLE
+        self.crossing = _next_crossing(-off.take(moving) / slope.take(moving), z_probe)
         return self.out, self.crossing
 
 
-def _scatter(shape, where, values):
-    """An array of ``shape`` holding ``values`` at the flat indices
-    ``where`` and inf elsewhere."""
-    full = np.full(shape, np.inf)
-    full.reshape(-1)[where] = values
-    return full
+def _relu_gather(pair, units):
+    return pair.take(units + [[0], [pair[0].size]])
+
+
+def _relu_reach(pair, region):
+    return region, pair[(slice(None),) + region]
 
 
 def _relu_units(pair, z_probe):
@@ -448,8 +453,9 @@ def _relu_units(pair, z_probe):
     crossing of a unit whose pattern holds for good is inf."""
     off, slope = pair
     gate, moving = _relu_pattern(off, slope, z_probe)
-    zc = np.full(off.shape, np.inf)
-    zc[moving] = -off[moving] / slope[moving]
+    moving = np.flatnonzero(moving)
+    zc = np.full(off.size, np.inf)
+    zc[moving] = -off.take(moving) / slope.take(moving)
     return pair * gate, zc
 
 
@@ -508,52 +514,35 @@ class MaxPool2(Layer):
         A small map's output equal bit for bit to the last one returned (so
         0.0 is not -0.0) is returned as that same array with ``changed``
         None, which tells a line's plan that the stages reading it need not
-        rerun.  A large map keeps each pooled unit's crossing in ``zc``
-        instead; a rerun recomputes only the pooled units that read the
-        ``changed`` region and those whose crossing the probe reached, in
-        place, and ``changed`` becomes the region of the outputs whose bits
-        changed (None when no winner moved and no winner's value changed)."""
+        rerun.  A large map runs `_unit_pass`, which learns that from the
+        units it recomputed: a unit reads its window's four places, and a
+        region reaches the units whose windows it meets."""
+        if _large(pair):
+            return _unit_pass(self, _pool_units, _pool_gather, _pool_reach,
+                              pair, z_probe, changed)
         _, h, w, c = pair.shape
-        if not _local(pair, changed):
-            comp = _competitors(pair)
-            pooled, zc, overtaking = _pool_pattern(comp, z_probe)
-            self.crossing = _next_crossing(zc, z_probe)
-            if _large(pair):  # ``zc`` is built by the first local pass
-                self.zc, self.sparse_zc = None, (comp.shape[1:], overtaking, zc)
-            elif self.out is not None and pooled.tobytes() == self.out.tobytes():
-                self.changed = None
-                return self.out, self.crossing
-            self.out, self.changed = pooled.reshape(2, h // 2, w // 2, c), WHOLE
+        pooled, zc, _ = _pool_pattern(_competitors(pair), z_probe)
+        self.crossing = _next_crossing(zc, z_probe)
+        if self.out is not None and pooled.tobytes() == self.out.tobytes():
+            self.changed = None
             return self.out, self.crossing
-        self.local_runs += 1
-        if self.zc is None:
-            self.zc = _scatter(*self.sparse_zc).min(axis=0).reshape(h // 2, w // 2, c)
-        self.changed = None
-        if self.crossing <= z_probe:  # rerun the units whose crossing it reached
-            reached = np.flatnonzero(self.zc <= z_probe)
-            i, j, ch = np.unravel_index(reached, self.zc.shape)
-            # the window's four places in row-major order, as in
-            # `_competitors`, as flat indices into the offset, then the slope
-            places = ((2 * i + [[0], [0], [1], [1]]) * w + 2 * j + [[0], [1], [0], [1]]) * c + ch
-            pooled, zc = _pool_units(pair.take([places, places + pair[0].size]), z_probe)
-            at = reached + [[0], [self.zc.size]]
-            self.changed = _region_of(reached[_differ(pooled, self.out.take(at))], self.zc.shape)
-            self.out.put(at, pooled)
-            self.zc.put(reached, zc)
-        if changed is not None:
-            rows, cols = changed
-            r0, r1, c0, c1 = rows.start // 2, (rows.stop + 1) // 2, cols.start // 2, (cols.stop + 1) // 2
-            pooled, zc = _pool_units(_competitors(pair[:, 2 * r0:2 * r1, 2 * c0:2 * c1]),
-                                     z_probe)
-            box = slice(r0, r1), slice(c0, c1)
-            at = (slice(None),) + box
-            pooled = pooled.reshape(2, r1 - r0, c1 - c0, c)
-            if _differ(pooled, self.out[at]).any():
-                self.changed = _union(self.changed, box)
-            self.out[at] = pooled
-            self.zc[box] = zc.reshape(pooled.shape[1:])
-        self.crossing = _next_crossing(self.zc, z_probe)
+        self.out, self.changed = pooled.reshape(2, h // 2, w // 2, c), WHOLE
         return self.out, self.crossing
+
+
+def _pool_gather(pair, units):
+    """The competitors (2, 4, len(units)) of the pooled units at the flat
+    indices ``units``: the four places of their windows, as in `_competitors`."""
+    _, h, w, c = pair.shape
+    i, j, ch = np.unravel_index(units, (h // 2, w // 2, c))
+    places = ((2 * i + [[0], [0], [1], [1]]) * w + 2 * j + [[0], [1], [0], [1]]) * c + ch
+    return pair.take([places, places + pair[0].size])
+
+
+def _pool_reach(pair, region):
+    rows, cols = region
+    r0, r1, c0, c1 = rows.start // 2, (rows.stop + 1) // 2, cols.start // 2, (cols.stop + 1) // 2
+    return (slice(r0, r1), slice(c0, c1)), _competitors(pair[:, 2 * r0:2 * r1, 2 * c0:2 * c1])
 
 
 def _pool_pattern(comp, z_probe):
@@ -579,7 +568,9 @@ def _pool_units(comp, z_probe):
     """(pooled, crossings) of the pooled units with competitors ``comp``:
     each unit's nearest crossing, inf for none."""
     pooled, zc, overtaking = _pool_pattern(comp, z_probe)
-    return pooled, _scatter(comp.shape[1:], overtaking, zc).min(axis=0)
+    full = np.full(comp[0].size, np.inf)
+    full[overtaking] = zc
+    return pooled, full.reshape(4, -1).min(axis=0)
 
 
 class LatentHead(Layer):

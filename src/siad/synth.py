@@ -119,11 +119,15 @@ class Subject:
     truth_region: tuple | None = None
 
 
+def _check_count(count):
+    if count < 1:
+        raise DataError(f"count must be >= 1, got {count}")
+
+
 def gen_null_cohort(count: int, side: int, sigma2: float, seed: int,
                     tag: int = _TAG_NULL, start_index: int = 0):
     """i.i.d. isotropic Gaussian noise images from the keyed stream."""
-    if count < 1:
-        raise DataError(f"count must be >= 1, got {count}")
+    _check_count(count)
     scale = math.sqrt(sigma2)
     return [scale * standard_normals(keyed_rng(seed, tag, start_index + i),
                                      (1, side, side))

@@ -15,6 +15,8 @@ weights bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -110,8 +112,15 @@ class TrainConfig:
     holdout_fraction: ClassVar[float] = 0.2  # share of the dataset held out
 
     def __post_init__(self):
-        if not self.batch_size >= 1:
-            raise DataError(f"batch_size must be at least 1, got {self.batch_size}")
+        # lr 0 is allowed: the weights stay put and only the held-out loss runs
+        checks = [("epochs", isinstance(self.epochs, numbers.Integral) and self.epochs >= 0,
+                   "a whole number of at least 0"),
+                  ("lr", 0.0 <= self.lr < math.inf, "finite and at least 0"),
+                  ("batch_size", self.batch_size >= 1, "at least 1"),
+                  ("patience", self.patience >= 1, "at least 1")]
+        for name, ok, rule in checks:
+            if not ok:
+                raise DataError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -108,8 +108,18 @@ class TestUsageAndErrors:
         ("generate", "seed = 5", "seed = 5\nsigma2 = 0"),
         ("experiment-null", "seed = 5", "seed = 5\nsigma2 = -1"),
         ("experiment-null", "seed = 5", "seed = 5\nsigma2 = nan"),
+        # values that only a later command reads stop every command
+        ("generate", "quantile = 0.95", "quantile = 1.5"),
+        ("generate", "n_null = 10", "n_null = -5"),
+        ("generate", "epochs = 2", "epochs = 2\nlr = nan"),
+        ("generate", "epochs = 2", "epochs = 2\nlr = -1"),
+        ("generate", "epochs = 2", "epochs = -2"),
+        ("generate", "batch_size = 6", "batch_size = 0"),
+        ("train", "quantile = 0.95", "quantile = 0.95\nroi_fraction = 1.5"),
     ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64", "sigma2-inf",
-            "sigma2-0", "null-sigma2-neg", "null-sigma2-nan"])
+            "sigma2-0", "null-sigma2-neg", "null-sigma2-nan", "generate-quantile-1.5",
+            "generate-n_null-neg", "generate-lr-nan", "generate-lr-neg", "generate-epochs-neg",
+            "generate-batch_size-0", "train-roi_fraction-1.5"])
     def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                  command, old, new):
         out = tmp_path / "run" if command == "generate" else pipeline_dir[0]
@@ -122,6 +132,7 @@ class TestUsageAndErrors:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
         assert key in captured.err and "Traceback" not in captured.err
         assert {p.name: p.read_bytes() for p in out.glob("*") if p.is_file()} == before
+        assert command != "generate" or not out.exists()
 
     def test_key_in_wrong_section_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -567,13 +567,19 @@ def _reference_crossing(zc, z_probe):
     return float(max(zc.min(), z_probe))
 
 
-def _reference_relu_affine(pair, z_probe):
+def _reference_relu_units(pair, z_probe):
+    """(outputs, each unit's crossing)."""
     off, slope = pair
     v = off + slope * z_probe
     gate = (v > 0.0) | ((v == 0.0) & (slope > 0.0))
     moving = np.where(gate, slope < 0.0, slope > 0.0)
     zc = np.where(moving, -off / np.where(moving, slope, 1.0), np.inf)
-    return pair * gate, _reference_crossing(zc, z_probe)
+    return pair * gate, zc
+
+
+def _reference_relu_affine(pair, z_probe):
+    out, zc = _reference_relu_units(pair, z_probe)
+    return out, _reference_crossing(zc, z_probe)
 
 
 def _reference_pool_forward(x):
@@ -590,7 +596,8 @@ def _reference_pool_backward(grad, win, in_shape):
         0, 1, 3, 2, 4, 5).reshape(b, h, w, c)
 
 
-def _reference_pool_affine(pair, z_probe):
+def _reference_pool_units(pair, z_probe):
+    """(pooled, each pooled unit's crossing)."""
     windows = _reference_windows(pair)
     woff, wslope = windows
     v = woff + wslope * z_probe
@@ -603,6 +610,11 @@ def _reference_pool_affine(pair, z_probe):
     zc = np.where(overtaking,
                   (pooled[0][:, :, None, :] - woff) / np.where(overtaking, ds, 1.0),
                   np.inf)
+    return pooled, zc.min(axis=2)
+
+
+def _reference_pool_affine(pair, z_probe):
+    pooled, zc = _reference_pool_units(pair, z_probe)
     return pooled, _reference_crossing(zc, z_probe)
 
 
@@ -657,28 +669,41 @@ def _same_bits(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _awkward_pairs(seed):
+    """A small awkward pair and a large one (4,608 values a row), whose
+    passes take the unit pass."""
+    return _awkward_pair(seed), _awkward_pair(seed, side=24, c=8)
+
+
 class TestKernelOracles:
-    """The relu and pooling kernels reproduce the earlier ones bit for bit;
+    """The relu and pooling kernels reproduce the earlier ones bit for bit,
+    and on a large map a whole pass keeps each unit's crossing in ``zc``;
     the shifted sum does from a zero output, and to rounding with a bias."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_relu_affine(self, seed):
-        pair = _awkward_pair(seed)
-        assert np.any(pair[0] == 0.0) and np.any(pair[1] == 0.0)
-        for z in _probes(pair, _reference_relu_affine):
-            out, crossing = Relu().affine(pair, z)
-            want, want_crossing = _reference_relu_affine(pair, z)
-            _same_bits(out, want)
-            assert crossing == want_crossing
+        for pair in _awkward_pairs(seed):
+            assert np.any(pair[0] == 0.0) and np.any(pair[1] == 0.0)
+            for z in _probes(pair, _reference_relu_affine):
+                relu = Relu()
+                out, crossing = relu.affine(pair, z)
+                want, want_zc = _reference_relu_units(pair, z)
+                _same_bits(out, want)
+                assert crossing == _reference_crossing(want_zc, z)
+                if pair[0].size >= LOCAL_MIN:
+                    _same_bits(relu.zc, want_zc)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pool_affine(self, seed):
-        pair = _awkward_pair(seed)
-        for z in _probes(pair, _reference_pool_affine):
-            pooled, crossing = MaxPool2().affine(pair, z)
-            want, want_crossing = _reference_pool_affine(pair, z)
-            _same_bits(pooled, want)
-            assert crossing == want_crossing
+        for pair in _awkward_pairs(seed):
+            for z in _probes(pair, _reference_pool_affine):
+                pool = MaxPool2()
+                pooled, crossing = pool.affine(pair, z)
+                want, want_zc = _reference_pool_units(pair, z)
+                _same_bits(pooled, want)
+                assert crossing == _reference_crossing(want_zc, z)
+                if pair[0].size >= LOCAL_MIN:
+                    _same_bits(pool.zc, want_zc)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pool_forward_and_backward(self, seed):

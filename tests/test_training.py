@@ -229,3 +229,10 @@ class TestTrain:
     def test_batch_size_below_one_rejected(self, batch_size):
         with pytest.raises(DataError, match="batch_size"):
             TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("name,value", [
+        ("lr", float("nan")), ("lr", -1.0), ("lr", float("inf")),
+        ("epochs", -2), ("epochs", 2.5), ("patience", 0)])
+    def test_unusable_setting_rejected(self, name, value):
+        with pytest.raises(DataError, match=name):
+            TrainConfig(**{name: value})
