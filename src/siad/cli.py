@@ -52,6 +52,34 @@ def _bad_level(levels):
     return next((a for a in levels if not 0.0 < a < 1.0), None)
 
 
+def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
+    """A signal_size x signal_size block at the center of the ROI; a block
+    that would not fit inside the ROI is refused."""
+    side = cfg.side
+    grid = np.arange(side * side).reshape(side, side)
+    rows = np.flatnonzero(roi.member.reshape(side, side).any(axis=1))
+    cols = np.flatnonzero(roi.member.reshape(side, side).any(axis=0))
+    width = min(rows.size, cols.size)
+    if not 1 <= cfg.signal_size <= width:
+        raise DataError(f"config value signal_size = {cfg.signal_size!r}: "
+                        f"must lie in [1, {width}], the ROI's width")
+    r0 = rows[0] + (rows.size - cfg.signal_size) // 2
+    c0 = cols[0] + (cols.size - cfg.signal_size) // 2
+    block = grid[r0:r0 + cfg.signal_size, c0:c0 + cfg.signal_size]
+    return tuple(int(i) for i in block.ravel())
+
+
+def _cohort_spec(cfg: RunConfig, roi: RoiMask) -> CohortSpec:
+    signal = None
+    if cfg.n_diseased > 0:
+        signal = SignalSpec(region=_signal_region(cfg, roi),
+                            amplitude=cfg.signal_amplitude, shape=cfg.signal_shape)
+    return CohortSpec(n_healthy_train=cfg.n_train, n_healthy_test=cfg.n_test,
+                      n_inference=cfg.n_inference, n_variance=cfg.n_variance,
+                      n_diseased=cfg.n_diseased, side=cfg.side, sigma2=cfg.sigma2,
+                      seed=cfg.seed, signal=signal)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flattened configuration; each field's INI section is its ``section``
@@ -95,7 +123,11 @@ class RunConfig:
                  ("epochs, lr, batch_size", self._train_config),
                  ("quantile", lambda: _check_quantile(self.quantile)),
                  ("roi_fraction", lambda: RoiMask.centered_square(self.side, self.roi_fraction)),
-                 ("n_null", lambda: _check_count(self.n_null))]
+                 ("n_null", lambda: _check_count(self.n_null)),
+                 ("n_train, n_test, n_inference, n_variance, n_diseased, signal_amplitude, "
+                  "signal_shape, signal_size",
+                  lambda: _cohort_spec(self, RoiMask.centered_square(self.side,
+                                                                     self.roi_fraction)))]
         for names, rule in rules:
             try:
                 rule()
@@ -161,34 +193,6 @@ def load_config(preset: str, config_path, overrides: dict) -> RunConfig:
     if clean:
         cfg = replace(cfg, **clean)
     return cfg
-
-
-def _signal_region(cfg: RunConfig, roi: RoiMask) -> tuple:
-    """A signal_size x signal_size block at the center of the ROI; a block
-    that would not fit inside the ROI is refused."""
-    side = cfg.side
-    grid = np.arange(side * side).reshape(side, side)
-    rows = np.flatnonzero(roi.member.reshape(side, side).any(axis=1))
-    cols = np.flatnonzero(roi.member.reshape(side, side).any(axis=0))
-    width = min(rows.size, cols.size)
-    if not 1 <= cfg.signal_size <= width:
-        raise DataError(f"config value signal_size = {cfg.signal_size!r}: "
-                        f"must lie in [1, {width}], the ROI's width")
-    r0 = rows[0] + (rows.size - cfg.signal_size) // 2
-    c0 = cols[0] + (cols.size - cfg.signal_size) // 2
-    block = grid[r0:r0 + cfg.signal_size, c0:c0 + cfg.signal_size]
-    return tuple(int(i) for i in block.ravel())
-
-
-def _cohort_spec(cfg: RunConfig, roi: RoiMask) -> CohortSpec:
-    signal = None
-    if cfg.n_diseased > 0:
-        signal = SignalSpec(region=_signal_region(cfg, roi),
-                            amplitude=cfg.signal_amplitude, shape=cfg.signal_shape)
-    return CohortSpec(n_healthy_train=cfg.n_train, n_healthy_test=cfg.n_test,
-                      n_inference=cfg.n_inference, n_variance=cfg.n_variance,
-                      n_diseased=cfg.n_diseased, side=cfg.side, sigma2=cfg.sigma2,
-                      seed=cfg.seed, signal=signal)
 
 
 class _Paths:

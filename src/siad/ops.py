@@ -86,9 +86,12 @@ and 2.7-2.9x); the paper architecture's maps hold at least
 2x2 max pooling copies its input once into a competitor-major layout,
 (B, 4, H/2*W/2*C): each of the four places of a window is one contiguous
 block over the pooled units, so finding a window's winner is a reduction
-over four rows and the winner is read by its flat index.  Along a line, a
-relu computes its crossings -off/slope only at the units that will flip,
-and a pool only at the competitors that overtake their winner.
+over four rows and the winner is read by its flat index.  Along a line,
+`_relu_units` and `_pool_units` state each pattern once, for every map
+size: they return the outputs and the crossings only at the relu units
+that will flip and the competitors that overtake their winner, as (flat
+places, z values).  A small map's pass keeps their nearest, and
+`_unit_pass` keeps each output unit's nearest, inf for none.
 """
 
 from __future__ import annotations
@@ -367,15 +370,25 @@ def _next_crossing(zc, z_probe):
     return float(max(zc.min(initial=np.inf), z_probe))
 
 
+def _dense(units, inputs, z_probe):
+    """(outputs, crossings) of ``units(inputs, z_probe)``, with each output
+    unit's nearest crossing over its inputs (a pool unit's four
+    competitors), inf for none, in place of the sparse ones."""
+    new, (places, zc) = units(inputs, z_probe)
+    full = np.full(inputs[0].size, np.inf)
+    full[places] = zc
+    return new, full.reshape(-1, new[0].size).min(axis=0)
+
+
 def _unit_pass(layer, units, gather, reach, pair, z_probe, changed):
     """A relu's or pool's affine pass on a large map, which keeps each output
-    unit's crossing (inf for none) in ``zc``.  ``units(inputs, z_probe)``
-    gives the (outputs, crossings) of units from their inputs, ``gather(pair,
-    flat)`` the inputs of the units at flat indices of an output image, and
-    ``reach(pair, region)`` the output box an input region reaches, with
-    that box's inputs.  A rerun recomputes, in place, the units whose
-    crossing the probe reached and the box that ``changed`` reaches, and
-    ``changed`` becomes the region of the outputs whose bits changed."""
+    unit's crossing (inf for none) in ``zc``.  ``units`` is `_relu_units`
+    or `_pool_units`, ``gather(pair, flat)`` gives the inputs of the units
+    at flat indices of an output image, and ``reach(pair, region)`` the
+    output box an input region reaches, with that box's inputs.  A rerun
+    recomputes, in place, the units whose crossing the probe reached and
+    the box that ``changed`` reaches, and ``changed`` becomes the region of
+    the outputs whose bits changed."""
     whole, out_changed = changed is WHOLE, None
     if whole:
         changed = slice(0, pair.shape[1]), slice(0, pair.shape[2])
@@ -384,13 +397,13 @@ def _unit_pass(layer, units, gather, reach, pair, z_probe, changed):
         if layer.crossing <= z_probe:  # rerun the units whose crossing it reached
             reached = np.flatnonzero(layer.zc <= z_probe)
             at = reached + [[0], [layer.zc.size]]  # their flat indices in ``out``
-            new, zc = units(gather(pair, reached), z_probe)
+            new, zc = _dense(units, gather(pair, reached), z_probe)
             out_changed = _region_of(reached[_differ(new, layer.out.take(at))], layer.zc.shape)
             layer.out.put(at, new)
             layer.zc.put(reached, zc)
     if changed is not None:
         box, inputs = reach(pair, changed)
-        (rows, cols), (new, zc) = box, units(inputs, z_probe)
+        (rows, cols), (new, zc) = box, _dense(units, inputs, z_probe)
         new = new.reshape(2, rows.stop - rows.start, cols.stop - cols.start, -1)
         if whole:
             layer.out, layer.zc, out_changed = new, zc.reshape(new.shape[1:]), WHOLE
@@ -424,19 +437,13 @@ class Relu(Layer):
         return grad
 
     def affine(self, pair, z_probe, changed=WHOLE):
-        """A unit is on when its value at the probe is positive (an exact
-        zero goes by the slope's sign).  On units with negative slope and
-        off units with positive slope cross zero at -off/slope, which is
-        computed at those units only.  A large map runs `_unit_pass`: a
+        """The pattern of `_relu_units`.  A large map runs `_unit_pass`: a
         unit reads its own input, and a region reaches the same region."""
         if _large(pair):
             return _unit_pass(self, _relu_units, _relu_gather, _relu_reach,
                               pair, z_probe, changed)
-        off, slope = pair
-        gate, moving = _relu_pattern(off, slope, z_probe)
-        moving = np.flatnonzero(moving)
-        self.out, self.changed = pair * gate, WHOLE
-        self.crossing = _next_crossing(-off.take(moving) / slope.take(moving), z_probe)
+        self.out, (_, zc) = _relu_units(pair, z_probe)
+        self.changed, self.crossing = WHOLE, _next_crossing(zc, z_probe)
         return self.out, self.crossing
 
 
@@ -449,23 +456,16 @@ def _relu_reach(pair, region):
 
 
 def _relu_units(pair, z_probe):
-    """(outputs, crossings) of relu units with (offset, slope) ``pair``: the
-    crossing of a unit whose pattern holds for good is inf."""
+    """(outputs, (moving, crossings)) of relu units with (offset, slope)
+    ``pair``: a unit is on when its value at the probe is positive or zero
+    and rising, and the units that are on and falling or off and rising,
+    at flat indices ``moving``, cross zero at -off/slope."""
     off, slope = pair
-    gate, moving = _relu_pattern(off, slope, z_probe)
-    moving = np.flatnonzero(moving)
-    zc = np.full(off.size, np.inf)
-    zc[moving] = -off.take(moving) / slope.take(moving)
-    return pair * gate, zc
-
-
-def _relu_pattern(off, slope, z_probe):
-    """(gate, moving): whether each unit is on at the probe, and whether it
-    is on and falling or off and rising."""
     v = off + slope * z_probe
     rising = slope > 0.0
     gate = (v > 0.0) | ((v == 0.0) & rising)
-    return gate, (gate ^ rising) & (slope != 0.0)
+    moving = np.flatnonzero((gate ^ rising) & (slope != 0.0))
+    return pair * gate, (moving, -off.take(moving) / slope.take(moving))
 
 
 def _competitors(x):
@@ -507,21 +507,18 @@ class MaxPool2(Layer):
         return grad_comp.transpose(0, 3, 1, 4, 2, 5).reshape(b, h, w, c)
 
     def affine(self, pair, z_probe, changed=WHOLE):
-        """Ties at the probe go to the competitor that wins just to the right
-        (largest slope, then smallest index).  A competitor with a larger
-        slope than the winner overtakes it where their values meet.
-
-        A small map's output equal bit for bit to the last one returned (so
-        0.0 is not -0.0) is returned as that same array with ``changed``
-        None, which tells a line's plan that the stages reading it need not
-        rerun.  A large map runs `_unit_pass`, which learns that from the
-        units it recomputed: a unit reads its window's four places, and a
-        region reaches the units whose windows it meets."""
+        """The pattern of `_pool_units`.  A small map's output equal bit for
+        bit to the last one returned (so 0.0 is not -0.0) is returned as
+        that same array with ``changed`` None, which tells a line's plan
+        that the stages reading it need not rerun.  A large map runs
+        `_unit_pass`, which learns that from the units it recomputed: a unit
+        reads its window's four places, and a region reaches the units whose
+        windows it meets."""
         if _large(pair):
             return _unit_pass(self, _pool_units, _pool_gather, _pool_reach,
                               pair, z_probe, changed)
         _, h, w, c = pair.shape
-        pooled, zc, _ = _pool_pattern(_competitors(pair), z_probe)
+        pooled, (_, zc) = _pool_units(_competitors(pair), z_probe)
         self.crossing = _next_crossing(zc, z_probe)
         if self.out is not None and pooled.tobytes() == self.out.tobytes():
             self.changed = None
@@ -545,11 +542,14 @@ def _pool_reach(pair, region):
     return (slice(r0, r1), slice(c0, c1)), _competitors(pair[:, 2 * r0:2 * r1, 2 * c0:2 * c1])
 
 
-def _pool_pattern(comp, z_probe):
-    """(pooled, zc, overtaking) for the competitors ``comp`` (2, 4, n) of n
-    pooled units: the winners' (offset, slope) pair (2, n) at the probe,
-    and where the competitors that overtake their winner do so, at their
-    flat indices ``overtaking`` into (4, n)."""
+def _pool_units(comp, z_probe):
+    """(pooled, (overtaking, crossings)) for the competitors ``comp``
+    (2, 4, n) of n pooled units: the winners' (offset, slope) pair (2, n)
+    at the probe, and where the competitors that overtake their winner do
+    so, at their flat indices ``overtaking`` into (4, n).  Ties at the
+    probe go to the competitor that wins just to the right (largest slope,
+    then smallest index), and a competitor with a larger slope than the
+    winner overtakes it where their values meet."""
     off, slope = comp  # (4, n): competitors on axis 0
     n = off.shape[1]
     v = off + slope * z_probe
@@ -561,16 +561,7 @@ def _pool_pattern(comp, z_probe):
     pooled = comp.reshape(2, -1).take(win * n + np.arange(n), axis=1)
     ds = slope - pooled[1]
     overtaking = np.flatnonzero(ds > 0.0)
-    return pooled, (pooled[0] - off).take(overtaking) / ds.take(overtaking), overtaking
-
-
-def _pool_units(comp, z_probe):
-    """(pooled, crossings) of the pooled units with competitors ``comp``:
-    each unit's nearest crossing, inf for none."""
-    pooled, zc, overtaking = _pool_pattern(comp, z_probe)
-    full = np.full(comp[0].size, np.inf)
-    full[overtaking] = zc
-    return pooled, full.reshape(4, -1).min(axis=0)
+    return pooled, (overtaking, (pooled[0] - off).take(overtaking) / ds.take(overtaking))
 
 
 class LatentHead(Layer):
@@ -615,18 +606,18 @@ class LatentHead(Layer):
         z = self.mu
         if self.eps is not None:
             z = self.mu + np.exp(0.5 * self.logvar) * self.eps
-        self.zc, g = self._decode(z)
+        self.dense_in, g = self._decode(z)
         return g
 
     def _decode(self, z):
         """(the dense layer's input rows, its output map) for the latent
         codes ``z``: the codes, then the conditions."""
         latent = z.shape[1]
-        zc = np.zeros((len(z), latent + self.cond.shape[1]))
-        zc[:, :latent] = z
-        zc[:self.biased, latent:] = self.cond
-        g = self._linear(zc, self.dense_mat, self.dense_b)
-        return zc, g.reshape(len(z), *self.map_shape).transpose(0, 2, 3, 1)
+        rows = np.zeros((len(z), latent + self.cond.shape[1]))
+        rows[:, :latent] = z
+        rows[:self.biased, latent:] = self.cond
+        g = self._linear(rows, self.dense_mat, self.dense_b)
+        return rows, g.reshape(len(z), *self.map_shape).transpose(0, 2, 3, 1)
 
     def affine(self, pair, z_probe, changed=WHOLE):
         """The forward on the pair without the log-variance, which only the
@@ -651,9 +642,9 @@ class LatentHead(Layer):
         if self.eps is not None:
             d_logvar = d_z * self.eps * 0.5 * np.exp(0.5 * self.logvar) + d_logvar
         values = (d_mu.T @ self.flat, d_mu.sum(axis=0), d_logvar.T @ self.flat,
-                  d_logvar.sum(axis=0), d_g.T @ self.zc, d_g.sum(axis=0))
+                  d_logvar.sum(axis=0), d_g.T @ self.dense_in, d_g.sum(axis=0))
         self.grads = {name: v for (name, _), v in zip(self.shapes, values)}
-        self.flat = self.mu = self.logvar = self.zc = None
+        self.flat = self.mu = self.logvar = self.dense_in = None
         d_flat = d_mu @ self.mu_w + d_logvar @ self.logvar_w
         return d_flat.reshape(b, *self.map_shape).transpose(0, 2, 3, 1)
 

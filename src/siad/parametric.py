@@ -28,10 +28,11 @@ the ones a rerun would give.  This is the early cutoff of build systems
 Each stage's affine pass is given the region of each of its inputs that
 changed at this probe (`ops.WHOLE` on the first probe and on a probe to
 the left of the previous one, which recompute every stage that depends on
-``z``), and it hands on the region of its own output that changed; a
-stage none of whose inputs changed and whose crossing the probe has not
-reached does not run.  A breakpoint flips one relu unit or moves one pool
-winner, and in the encoder that change stays local: a few units, then
+``z``), and it hands on the region of its own output that changed; those
+regions are the only record of what changed, and a stage whose input
+regions are all None and whose crossing the probe has not reached does
+not run.  A breakpoint flips one relu unit or moves one pool winner,
+and in the encoder that change stays local: a few units, then
 the patch of the next convolution that reads them, and so on.  On the
 paper architecture's maps a stage recomputes only that region (a local
 pass, counted by ``stages_local``); it spreads only at the latent head,
@@ -132,18 +133,17 @@ class _LinePlan:
 
     The stages are the model's layers.  Stage ``k`` maps the output of
     stage ``k - 1`` and ``z_probe`` to ``(pair, crossing)``; a decoder conv
-    also reads the matching encoder relu's last output (``readers[k]``
-    lists the stages that read stage ``k``).  Stage 0, the first encoder
-    conv, does not depend on ``z`` and runs once here.
+    also reads the output of the encoder relu ``skips[k]``.  Stage 0, the
+    first encoder conv, does not depend on ``z`` and runs once here.
 
-    On a probe at or to the right of the previous one, ``evaluate`` reruns
-    stage ``k`` only if the probe reached its crossing or a stage it reads
-    changed, and passes it the region of each of those inputs that
-    changed (None: none); the stage leaves the region of its output that
-    changed in its ``changed``.  A kept output and crossing are exact
-    because the stage's inputs did not change and its pattern holds up to
-    its crossing.  A probe to the left reruns every stage on the whole
-    map.  ``stages_run`` counts the stages ``evaluate`` has computed,
+    ``evaluate`` keeps, for each stage, the region of its output that this
+    probe changed (None: none), which the stage leaves in its ``changed``.
+    On a probe at or to the right of the previous one it reruns stage
+    ``k`` only if the probe reached its crossing or a region it reads is
+    not None, and passes it those regions.  A kept output and crossing are
+    exact because the stage's inputs did not change and its pattern holds
+    up to its crossing.  A probe to the left reruns every stage on the
+    whole map.  ``stages_run`` counts the stages ``evaluate`` has computed,
     ``stages_skipped`` those it kept; together they are the probes times
     the stages after the first.  ``stages_local`` counts the runs that
     recomputed only a changed region.
@@ -167,15 +167,9 @@ class _LinePlan:
         self.outputs += [None] * (len(self.layers) - 1)
         self.crossings = [np.inf] * len(self.layers)
         self.probe = np.inf  # no stage after the first has run yet
-        # the stages reading each stage's output: the next one and, for an
-        # encoder relu, the decoder conv that takes it as its skip (its
-        # second input, ``skips[k]``)
-        self.readers = [[k + 1] for k in range(len(self.layers) - 1)] + [[]]
-        self.skips = [None] * len(self.layers)
-        for k, layer in enumerate(self.layers):
-            if isinstance(layer, UpConv):
-                self.skips[k] = self.layers.index(layer.skip)
-                self.readers[self.skips[k]].append(k)
+        # the encoder relu whose output each decoder conv takes as its skip
+        self.skips = [self.layers.index(layer.skip) if isinstance(layer, UpConv) else None
+                      for layer in self.layers]
         self.stages_run = self.stages_skipped = 0
         # indices, so that a piece holds a copy: a local pass changes the
         # last stage's output in place
@@ -195,23 +189,19 @@ class _LinePlan:
         """
         layers, outputs, crossings = self.layers, self.outputs, self.crossings
         resume = z_probe >= self.probe
-        rerun = [not resume or c <= z_probe for c in crossings]
         # the region of each stage's output that this probe changed
         changed = [None if resume else WHOLE] * len(layers)
         for k in range(1, len(layers)):
-            if not rerun[k]:
-                continue
-            inputs = (outputs[k - 1], z_probe, changed[k - 1])
+            reads = (changed[k - 1],)
             if self.skips[k] is not None:
-                inputs += (changed[self.skips[k]],)
-            outputs[k], crossings[k] = layers[k].affine(*inputs)
-            if resume and layers[k].changed is not None:
+                reads += (changed[self.skips[k]],)
+            if resume and crossings[k] > z_probe and all(r is None for r in reads):
+                self.stages_skipped += 1
+                continue
+            self.stages_run += 1
+            outputs[k], crossings[k] = layers[k].affine(outputs[k - 1], z_probe, *reads)
+            if resume:
                 changed[k] = layers[k].changed
-                for reader in self.readers[k]:
-                    rerun[reader] = True
-        ran = sum(rerun[1:])
-        self.stages_run += ran
-        self.stages_skipped += len(layers) - 1 - ran
         self.probe = z_probe
         offset, slope = outputs[-1].reshape(2, -1)[:, self.pixels]
         return offset, slope, min(crossings)
@@ -232,13 +222,10 @@ def scan_linear_pieces(eval_fn, window):
         if len(pieces) >= PIECE_CAP:
             raise NumericalDiagnosticError(
                 f"piece cap {PIECE_CAP} exceeded while scanning [{lo}, {hi}]")
-        if hi - z_lo <= 2 * PROGRESS_TOL:
-            off, slope, _ = eval_fn(0.5 * (z_lo + hi))
-            pieces.append(PiecewisePiece(z_lo, hi, off, slope))
-            break
-        z_probe = z_lo + PROGRESS_TOL
-        off, slope, crossing = eval_fn(z_probe)
-        z_hi = min(crossing, hi)
+        # a last sliver too narrow to step into is probed at its midpoint
+        sliver = hi - z_lo <= 2 * PROGRESS_TOL
+        off, slope, crossing = eval_fn(0.5 * (z_lo + hi) if sliver else z_lo + PROGRESS_TOL)
+        z_hi = hi if sliver else min(crossing, hi)
         pieces.append(PiecewisePiece(z_lo, z_hi, off, slope))
         z_lo = z_hi
     return pieces

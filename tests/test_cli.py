@@ -116,10 +116,18 @@ class TestUsageAndErrors:
         ("generate", "epochs = 2", "epochs = -2"),
         ("generate", "batch_size = 6", "batch_size = 0"),
         ("train", "quantile = 0.95", "quantile = 0.95\nroi_fraction = 1.5"),
+        ("train", "signal_size = 2", "signal_size = 2\nsignal_shape = triangle"),
+        ("train", "signal_size = 2", "signal_size = 0"),
+        ("train", "signal_size = 2", "signal_size = 99"),
+        ("train", "signal_amplitude = 4.0", "signal_amplitude = nan"),
+        ("train", "n_test = 6", "n_test = -3"),
+        ("train", "n_diseased = 6", "n_diseased = -1"),
     ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64", "sigma2-inf",
             "sigma2-0", "null-sigma2-neg", "null-sigma2-nan", "generate-quantile-1.5",
             "generate-n_null-neg", "generate-lr-nan", "generate-lr-neg", "generate-epochs-neg",
-            "generate-batch_size-0", "train-roi_fraction-1.5"])
+            "generate-batch_size-0", "train-roi_fraction-1.5", "train-signal_shape-triangle",
+            "train-signal_size-0", "train-signal_size-99", "train-signal_amplitude-nan",
+            "train-n_test-neg", "train-n_diseased-neg"])
     def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                  command, old, new):
         out = tmp_path / "run" if command == "generate" else pipeline_dir[0]

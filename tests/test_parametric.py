@@ -157,6 +157,42 @@ class TestParametricInfer:
         np.testing.assert_allclose(target.at(1.0), direct, atol=1e-9)
 
 
+class TestScanLinearPieces:
+    @staticmethod
+    def _recording(crossing_at):
+        """An ``eval_fn`` whose pieces carry their probe as the offset, with
+        ``crossing_at(z_probe)`` as the next crossing; it records its probes."""
+        probes = []
+
+        def eval_fn(z_probe):
+            probes.append(z_probe)
+            return np.array([z_probe]), np.zeros(1), crossing_at(z_probe)
+        return eval_fn, probes
+
+    def test_last_sliver_is_probed_at_its_midpoint_and_ends_at_hi(self):
+        """A crossing 1e-12 before ``hi`` leaves a sliver narrower than two
+        progress steps: it is one last piece, probed at its midpoint."""
+        hi = 1.0
+        cut = hi - 1e-12
+        eval_fn, probes = self._recording(lambda z: cut if z < cut else np.inf)
+        pieces = scan_linear_pieces(eval_fn, (0.0, hi))
+        assert len(pieces) == 2 and hi - cut <= 2 * parametric.PROGRESS_TOL
+        first, last = pieces
+        assert (first.lo, first.hi) == (0.0, cut)
+        assert (last.lo, last.hi) == (cut, hi)
+        assert probes == [parametric.PROGRESS_TOL, 0.5 * (cut + hi)]
+        assert last.recon_offset[0] == 0.5 * (cut + hi)
+
+    def test_window_narrower_than_two_steps_is_one_piece(self):
+        """The sliver ends at ``hi`` even when its probe reports a crossing
+        at the probe itself."""
+        lo, hi = 5.0, 5.0 + 1.5e-12
+        eval_fn, probes = self._recording(lambda z: z)
+        pieces = scan_linear_pieces(eval_fn, (lo, hi))
+        assert len(pieces) == 1 and (pieces[0].lo, pieces[0].hi) == (lo, hi)
+        assert probes == [0.5 * (lo + hi)]
+
+
 def _assert_same_as_fresh(plan, line, cond, w, z):
     """The plan's answer at z is bit-equal to a plan that has never probed."""
     got = plan.evaluate(z)
