@@ -113,7 +113,8 @@ class RunConfig:
                   ("sigma2", 0.0 < self.sigma2 < math.inf, "must be positive and finite"),
                   ("noise_source", self.noise_source in ("known", "estimated"),
                    "must be known or estimated"),
-                  ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)")]
+                  ("alphas", _bad_level(self.alphas) is None, "levels must lie in (0, 1)"),
+                  ("workers", self.workers >= 1, "must be >= 1")]
         for name, ok, rule in checks:
             if not ok:
                 raise DataError(f"config value {name} = {getattr(self, name)!r}: {rule}")

@@ -39,17 +39,18 @@ def evaluate_cohort(images, conds, weights, threshold, roi, noise: NoiseModel,
     """Selective inference for every subject, in input order.
 
     ``images`` and ``conds`` are parallel sequences.  With ``workers > 1``
-    the subjects are spread over a process pool; each evaluation is a pure
-    function of its inputs, so the result list is identical either way.
+    the subjects are spread over a process pool of at most one process per
+    subject; each evaluation is a pure function of its inputs, so the result
+    list is identical either way.
     """
     if len(images) != len(conds):
         raise DataError(f"{len(images)} images vs {len(conds)} condition rows")
     tasks = [(np.asarray(img, dtype=np.float64).reshape(-1), np.asarray(cond))
              for img, cond in zip(images, conds)]
     payload = {"weights": weights, "threshold": threshold, "roi": roi, "noise": noise}
-    if workers <= 1 or len(tasks) < 2:
-        _worker_init(payload)
-        return [_worker_evaluate(t) for t in tasks]
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [selective_pvalue(image, cond, **payload) for image, cond in tasks]
     ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(tasks) // (workers * 8))
     with ctx.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:

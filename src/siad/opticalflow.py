@@ -8,7 +8,8 @@ locally expands, negative where it contracts.  Flow is expressed per year
 so subjects with different scan gaps are comparable.
 
 Each Jacobi sweep takes the neighbourhood averages of u and v, stacked as
-one ``(2, H, W)`` array, with a single ``scipy.ndimage.correlate`` whose
+one ``(2, H, W)`` array, with one call of the C routine behind
+``scipy.ndimage.correlate``, its arguments fixed once per flow; the
 ``"mirror"`` border is numpy's ``np.pad(..., mode="reflect")``.  The flow is
 bit for bit that of padding and adding the eight weighted shifted
 neighbours: the correlation skips the zero centre tap and sums
@@ -109,8 +110,8 @@ def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
     reflective borders (the interior of ``np.gradient`` of the
     reflect-padded mean); the temporal gradient is the forward difference.
     Starting from zero flow, each Jacobi sweep replaces the field by its
-    neighbourhood average (one ``ndimage.correlate`` over the stacked u and
-    v, mirror borders = reflect padding, same sum order as shifted adds)
+    neighbourhood average (one correlation over the stacked u and v, mirror
+    borders = reflect padding, same sum order as shifted adds)
     corrected along the image gradient.  The raw displacement is divided
     by the scan gap, so identical images yield an exactly zero field.
     """
@@ -125,12 +126,20 @@ def horn_schunck(pair: ImagePair, smoothness: float = HS_DEFAULT_SMOOTHNESS,
     gt = i2 - i1
     denom = smoothness ** 2 + gx * gx + gy * gy
 
-    from scipy import ndimage  # on first use: scan and pool workers never need it
+    # on first use: scan and pool workers never need scipy.ndimage.  Each
+    # sweep calls the routine that ndimage.correlate(uv, _AVG_KERNEL,
+    # output=avg, mode="mirror") ends in, with the arguments that wrapper
+    # passes, since its Python checks cost a quarter of a 16 px sweep; the
+    # entry is private, so test_sweep_average_is_the_public_correlate pins
+    # it to the public call bit for bit.
+    from scipy.ndimage import _nd_image, _ni_support
+    mirror = _ni_support._extend_mode_to_code("mirror")
+    origins = [0] * _AVG_KERNEL.ndim
     g = np.stack((gx, gy))
     uv = np.zeros_like(g)
-    avg = np.empty_like(g)
+    avg = np.empty_like(g)  # never uv: the routine needs output apart from input
     for _ in range(iterations):
-        ndimage.correlate(uv, _AVG_KERNEL, output=avg, mode="mirror")
+        _nd_image.correlate(uv, _AVG_KERNEL, avg, mirror, 0.0, origins)
         scale = (gx * avg[0] + gy * avg[1] + gt) / denom
         uv = avg - g * scale
     return FlowField(uv[0] / pair.time_gap, uv[1] / pair.time_gap)

@@ -122,12 +122,15 @@ class TestUsageAndErrors:
         ("train", "signal_amplitude = 4.0", "signal_amplitude = nan"),
         ("train", "n_test = 6", "n_test = -3"),
         ("train", "n_diseased = 6", "n_diseased = -1"),
+        ("generate", "workers = 1", "workers = 0"),
+        ("experiment-null", "workers = 1", "workers = -3"),
     ], ids=["batch_size-0", "batch_size-neg", "seed-neg", "seed-2**64", "sigma2-inf",
             "sigma2-0", "null-sigma2-neg", "null-sigma2-nan", "generate-quantile-1.5",
             "generate-n_null-neg", "generate-lr-nan", "generate-lr-neg", "generate-epochs-neg",
             "generate-batch_size-0", "train-roi_fraction-1.5", "train-signal_shape-triangle",
             "train-signal_size-0", "train-signal_size-99", "train-signal_amplitude-nan",
-            "train-n_test-neg", "train-n_diseased-neg"])
+            "train-n_test-neg", "train-n_diseased-neg", "generate-workers-0",
+            "null-workers-neg"])
     def test_unusable_config_value_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                                  command, old, new):
         out = tmp_path / "run" if command == "generate" else pipeline_dir[0]

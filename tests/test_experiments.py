@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from siad import experiments
 from siad.anomaly import AnomalyMask, RoiMask, Threshold
 from siad.experiments import (binomial_upper_bound, evaluate_cohort,
                               histogram_counts, ks_critical,
@@ -47,6 +49,39 @@ class TestEvaluateCohort:
                 assert a.p_selective == b.p_selective
                 assert a.p_naive == b.p_naive
                 assert a.truncation.intervals == b.truncation.intervals
+
+    def test_pool_has_no_more_processes_than_subjects(self, monkeypatch):
+        asked = []
+
+        class Pool:  # maps in this process, so the test starts none
+            def __init__(self, processes, initializer, initargs):
+                asked.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        fork = SimpleNamespace(Pool=Pool)
+        monkeypatch.setattr(experiments, "multiprocessing",
+                            SimpleNamespace(get_context=lambda method: fork))
+        monkeypatch.setattr(experiments, "_WORKER_STATE", {})
+        w = init_weights(ARCH, 1)
+        args = (w, Threshold(value=1.0, source_quantile=0.95, calibration_count=10),
+                RoiMask.centered_square(8), NoiseModel(1.0))
+        imgs = gen_null_cohort(2, 8, 1.0, seed=2)
+        conds = np.random.default_rng(2).normal(size=(2, 2))
+        serial = evaluate_cohort(imgs, conds, *args, workers=1)
+        assert asked == [] and experiments._WORKER_STATE == {}
+        pooled = evaluate_cohort(imgs, conds, *args, workers=8)
+        assert asked == [2]
+        assert [(a.status, a.p_selective) for a in serial] == \
+            [(b.status, b.p_selective) for b in pooled]
 
     def test_length_mismatch_rejected(self):
         from siad.errors import DataError

@@ -134,7 +134,7 @@ class TestHornSchunck:
 class TestSweepOracle:
     """The correlate sweep reproduces padding plus shifted adds bit for bit."""
 
-    @pytest.mark.parametrize("side", [2, 3, 16, 17, 80])
+    @pytest.mark.parametrize("side", [1, 2, 3, 16, 17, 80])
     @pytest.mark.parametrize("smoothness,iterations", [(0.5, 200), (2.0, 7), (0.1, 1)])
     def test_bit_identical_to_shifted_adds(self, side, smoothness, iterations):
         rng = np.random.default_rng(side)
@@ -148,12 +148,43 @@ class TestSweepOracle:
 
     def test_bit_identical_on_a_rectangle(self):
         sp = gen_image_pairs(1, 17, MotionSpec(kind="dilate", rate=0.05), seed=3)[0]
-        pair = ImagePair(first=sp.pair.first[0, :5], second=sp.pair.second[0, :5],
-                         time_gap=sp.pair.time_gap, age_at_first=sp.pair.age_at_first)
-        flow = horn_schunck(pair, 0.5, 50)
-        u, v = _reference_horn_schunck(pair, 0.5, 50)
-        assert flow.u.tobytes() == u.tobytes()
-        assert flow.v.tobytes() == v.tobytes()
+        # on 1x5 and 5x1 a mirror border folds onto a one-pixel axis
+        for rows, cols in ((5, 17), (1, 5), (5, 1)):
+            pair = ImagePair(first=sp.pair.first[0, :rows, :cols],
+                             second=sp.pair.second[0, :rows, :cols],
+                             time_gap=sp.pair.time_gap, age_at_first=sp.pair.age_at_first)
+            flow = horn_schunck(pair, 0.5, 50)
+            u, v = _reference_horn_schunck(pair, 0.5, 50)
+            assert flow.u.tobytes() == u.tobytes()
+            assert flow.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 5), (2, 16, 16), (2, 80, 80)],
+                             ids=["1x1", "1x5", "16x16", "80x80"])
+    def test_sweep_average_is_the_public_correlate(self, shape, monkeypatch):
+        """The sweep calls scipy's private correlation routine with fixed
+        arguments; a scipy whose routine no longer gives ndimage.correlate's
+        bits with them fails here."""
+        from scipy import ndimage
+        from scipy.ndimage import _nd_image
+        real = _nd_image.correlate
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_nd_image, "correlate", spy)
+        rng = np.random.default_rng(shape[-1])
+        horn_schunck(ImagePair(first=rng.normal(size=shape[1:]), second=rng.normal(size=shape[1:]),
+                               time_gap=1.0, age_at_first=70.0), 0.5, 1)
+        monkeypatch.undo()
+        (stack, *fixed), = calls
+        assert not np.may_share_memory(stack, fixed[1])
+        uv = rng.normal(size=shape)
+        avg = np.empty_like(uv)
+        real(uv, fixed[0], avg, *fixed[2:])
+        kernel = np.array([[[1, 2, 1], [2, 0, 2], [1, 2, 1]]]) / 12
+        assert avg.tobytes() == ndimage.correlate(uv, kernel, mode="mirror").tobytes()
 
 
 class TestImagePairValidation:
